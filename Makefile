@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-self lint-fixtures vet golden chains-golden chaos bench bench-smoke gemm-calibrate frontier frontier-golden serve-smoke ci
+.PHONY: all build test race lint lint-self lint-fixtures vet golden chains-golden chaos bench bench-smoke bench-test frontier frontier-golden serve-smoke ci
 
 all: build test vet lint
 
@@ -75,12 +75,10 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/fouridx bench -smoke -o /tmp/bench_smoke.json -baseline BENCH_fouridx.json -tolerance 0.15
 
-# gemm-calibrate runs only the Strassen crossover sweep: the blocked
-# classical kernel against one level of Strassen-Winograd recursion
-# over the size ladder, printing this machine's crossover pick. The
-# full `make bench` records the same sweep in the baseline artifact.
-gemm-calibrate:
-	$(GO) run ./cmd/fouridx bench -calibrate
+# bench-test runs the repository benchmark's own tests. bench/ is a
+# nested Go module, so the root `go test ./...` never reaches them.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # frontier regenerates the checked-in capacity-vs-bound frontier
 # artifact (see README "Autotuning" and DESIGN.md §11).
@@ -101,4 +99,4 @@ frontier-golden:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-ci: build test vet lint lint-self lint-fixtures golden chains-golden frontier-golden race chaos bench-smoke serve-smoke
+ci: build test vet lint lint-self lint-fixtures golden chains-golden frontier-golden race chaos bench-smoke bench-test serve-smoke

@@ -33,7 +33,6 @@ func runChaos(args []string) {
 		rpn      = fs.Int("ranks-per-node", 0, "ranks per node (0 = one per core)")
 		mem      = fs.String("mem", "", "aggregate memory cap, e.g. 512MB, 9TB (empty = unlimited)")
 		overlap  = fs.Bool("overlap", false, "nonblocking communication: faults on nonblocking ops surface at the matching wait")
-		strassen = fs.Bool("strassen", false, "route contraction GEMMs above the crossover through the Strassen-Winograd path (execute mode)")
 	)
 	fatalIf(fs.Parse(args))
 
@@ -43,12 +42,11 @@ func runChaos(args []string) {
 	fatalIf(err)
 
 	opt := fourindex.Options{
-		Spec:     spec,
-		Procs:    *procs,
-		TileN:    *tileN,
-		TileL:    *tileL,
-		Overlap:  *overlap,
-		Strassen: *strassen,
+		Spec:    spec,
+		Procs:   *procs,
+		TileN:   *tileN,
+		TileL:   *tileL,
+		Overlap: *overlap,
 	}
 	if *cost {
 		opt.Mode = fourindex.ModeCost

@@ -27,7 +27,6 @@
 //
 //	fouridx bench -o BENCH_fouridx.json
 //	fouridx bench -smoke -baseline BENCH_fouridx.json -tolerance 0.15
-//	fouridx bench -calibrate
 //
 // The frontier subcommand computes the capacity-vs-bound frontier
 // artifact, checks the checked-in copy for staleness, and gates the
@@ -100,7 +99,6 @@ func main() {
 		mem      = flag.String("mem", "", "aggregate memory cap, e.g. 512MB, 9TB (empty = unlimited)")
 		overlap  = flag.Bool("overlap", false, "nonblocking communication: double-buffer gets and pipeline writes so transfers overlap compute")
 		ovEff    = flag.Float64("overlap-eff", 0, "fraction of in-flight transfer time the cost model may hide, in (0, 1] (0 = 1, full overlap)")
-		strassen = flag.Bool("strassen", false, "route contraction GEMMs above the crossover through the Strassen-Winograd path (execute mode)")
 		verbose  = flag.Bool("v", false, "print the transformed tensor's checksum")
 		autotune = flag.Bool("autotune", false, "sweep configurations in simulation and report the fastest (needs -system)")
 		jsonOut  = flag.Bool("json", false, "emit the result as JSON on stdout")
@@ -131,7 +129,6 @@ func main() {
 		AlphaPar:          *alphaPar,
 		Overlap:           *overlap,
 		OverlapEfficiency: *ovEff,
-		Strassen:          *strassen,
 	}
 	if *cost {
 		opt.Mode = fourindex.ModeCost

@@ -155,12 +155,18 @@ func RankFusionConfigs(n, s int) []RankedConfig {
 // FusionLemma is Lemma 4.2: a fused producer-consumer pair moves at
 // least lb1 + lb2 - 2|intermediate| elements.
 func FusionLemma(lb1, lb2 float64, intermediate int64) float64 {
-	return lb.FusionLemma(lb1, lb2, intermediate)
+	return chain.FusionLemma(lb1, lb2, intermediate)
 }
 
 // DongarraMatmulLB is the matrix-multiplication I/O lower bound used
-// throughout the paper: 1.73 ni nj nk / sqrt(S).
-func DongarraMatmulLB(ni, nj, nk, s int64) float64 { return lb.DongarraMatmulLB(ni, nj, nk, s) }
+// throughout the paper: 1.73 ni nj nk / sqrt(S). It panics on a
+// non-positive S.
+func DongarraMatmulLB(ni, nj, nk, s int64) float64 {
+	if err := chain.CheckCapacity(s); err != nil {
+		panic("fourindex: " + err.Error())
+	}
+	return chain.Dongarra(ni, nj, nk, s)
+}
 
 // FullReusePossible is Theorem 6.2: I/O = |A|+|C| is achievable iff the
 // fast memory holds the output tensor.
@@ -338,25 +344,6 @@ func BenchGate(cur, base *BenchReport, tolerance float64) ([]string, error) {
 func BenchReadPathRun(procs, readsPerProc, dim int) (BenchReadPath, error) {
 	return perf.BenchReadPath(procs, readsPerProc, dim)
 }
-
-// Strassen crossover calibration (internal/perf): the blocked classical
-// GEMM kernel timed against one level of Strassen-Winograd recursion
-// over a size ladder, picking the machine's crossover threshold. The
-// full benchmark records the sweep in its artifact; `fouridx bench
-// -calibrate` (make gemm-calibrate) runs it standalone.
-type (
-	StrassenCalibration = perf.StrassenCalibration
-	StrassenPoint       = perf.StrassenPoint
-)
-
-// CalibrateStrassenGemm runs the crossover sweep over the given size
-// ladder, best-of-trials per rung.
-func CalibrateStrassenGemm(sizes []int, trials int) StrassenCalibration {
-	return perf.CalibrateStrassen(sizes, trials)
-}
-
-// DefaultStrassenLadder is the calibration sweep's default size ladder.
-func DefaultStrassenLadder() []int { return perf.DefaultStrassenLadder() }
 
 // Capacity-vs-bound frontier (internal/lb + internal/fourindex): for
 // every fast-memory capacity S there is a data-movement lower bound,

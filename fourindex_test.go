@@ -54,6 +54,14 @@ func TestFacadeAnalysis(t *testing.T) {
 	if DongarraMatmulLB(10, 10, 10, 100) <= 0 {
 		t.Error("DongarraMatmulLB not positive")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("DongarraMatmulLB accepted S = 0")
+			}
+		}()
+		DongarraMatmulLB(10, 10, 10, 0)
+	}()
 	adv := Advise(64, 1, UnfusedMemoryWords(64, 1)*8/2)
 	if adv.Scheme != "fused" {
 		t.Errorf("Advise under pressure = %s", adv.Scheme)

@@ -74,6 +74,15 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
+// WallClock lists the time-package functions that read or schedule
+// against the real clock. It is shared by every analyzer that keeps the
+// wall clock out of deterministic code.
+var WallClock = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"Tick": true, "After": true, "AfterFunc": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
 // CalleeFunc resolves the *types.Func a call expression invokes, or nil
 // for calls through function values, type conversions, and builtins.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

@@ -41,13 +41,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// wallClock lists the time package's nondeterministic entry points.
-var wallClock = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"Tick": true, "After": true, "AfterFunc": true,
-	"NewTimer": true, "NewTicker": true,
-}
-
 // seededConstructors are the math/rand functions that build explicitly
 // seeded (hence deterministic) generators.
 var seededConstructors = map[string]bool{
@@ -90,7 +83,7 @@ func checkClock(pass *analysis.Pass, file *ast.File) {
 		}
 		switch fn.Pkg().Path() {
 		case "time":
-			if wallClock[fn.Name()] {
+			if analysis.WallClock[fn.Name()] {
 				pass.Reportf(call.Pos(), "wall-clock time.%s outside the /perf measured layer; results and traces must be bit-reproducible", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":

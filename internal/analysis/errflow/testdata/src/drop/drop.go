@@ -11,14 +11,20 @@ import (
 	"fourindex/internal/tile"
 )
 
+// grids is the 2-D tile grid the array cases allocate over.
+func grids() []tile.Grid {
+	g := tile.NewGrid(4, 2)
+	return []tile.Grid{g, g}
+}
+
 // dropExprStmt discards both results of an error-returning collective.
 func dropExprStmt(rt *ga.Runtime) {
-	rt.Create("a", 4, 4, 2, 2, tile.RoundRobin) // want `error from ga\.Create is discarded`
+	rt.CreateTiled("a", grids(), nil, tile.RoundRobin) // want `error from ga\.CreateTiled is discarded`
 }
 
 // dropBlank keeps the handle but blanks the error.
-func dropBlank(rt *ga.Runtime) *ga.Array {
-	a, _ := rt.Create("a", 4, 4, 2, 2, tile.RoundRobin) // want `error from ga\.Create is assigned to the blank identifier`
+func dropBlank(rt *ga.Runtime) *ga.TiledArray {
+	a, _ := rt.CreateTiled("a", grids(), nil, tile.RoundRobin) // want `error from ga\.CreateTiled is assigned to the blank identifier`
 	return a
 }
 
@@ -40,19 +46,12 @@ func dropAllocLocal(p *ga.Proc) ga.Buffer {
 
 // cleanHandled checks and propagates.
 func cleanHandled(rt *ga.Runtime) error {
-	a, err := rt.Create("a", 4, 4, 2, 2, tile.RoundRobin)
+	a, err := rt.CreateTiled("a", grids(), nil, tile.RoundRobin)
 	if err != nil {
 		return fmt.Errorf("create: %w", err)
 	}
-	if err := rt.Destroy(a); err != nil {
-		return fmt.Errorf("destroy: %w", err)
-	}
+	rt.DestroyTiled(a)
 	return nil
-}
-
-// dropDestroy discards the typed double-destroy error.
-func dropDestroy(rt *ga.Runtime, a *ga.Array) {
-	rt.Destroy(a) // want `error from ga\.Destroy is discarded`
 }
 
 // cleanErrorOnly binds a single error result.
@@ -64,7 +63,7 @@ func cleanErrorOnly(rt *ga.Runtime) {
 }
 
 // cleanNoError calls ga APIs without error results; nothing to check.
-func cleanNoError(a *ga.Array) {
+func cleanNoError(a *ga.TiledArray) {
 	a.Bytes()
 }
 

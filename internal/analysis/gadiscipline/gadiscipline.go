@@ -14,9 +14,9 @@
 //     and before every lexically later return. Deferred frees and
 //     buffers returned to the caller are fine. Discarding the result
 //     outright is always an error.
-//  2. Every distributed-array handle obtained from Runtime.Create,
-//     CreateTiled, or CreateTiledSparse must reach Runtime.Destroy /
-//     DestroyTiled in the same function unless the handle escapes
+//  2. Every distributed-array handle obtained from Runtime.CreateTiled
+//     or CreateTiledSparse must reach Runtime.DestroyTiled in the same
+//     function unless the handle escapes
 //     (returned, stored into a slice, map, struct field, or variable
 //     alias, or placed in a composite literal).
 //  3. Collective operations (Create*, Destroy*, Parallel) must not be
@@ -49,13 +49,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var createMethods = map[string]bool{
-	"Create":            true,
 	"CreateTiled":       true,
 	"CreateTiledSparse": true,
 }
 
 var destroyMethods = map[string]bool{
-	"Destroy":      true,
 	"DestroyTiled": true,
 }
 

@@ -77,9 +77,15 @@ func cleanLoop(p *ga.Proc, iters int) {
 	}
 }
 
+// grids is the 2-D tile grid the array cases allocate over.
+func grids() []tile.Grid {
+	g := tile.NewGrid(4, 2)
+	return []tile.Grid{g, g}
+}
+
 // leakArray creates a distributed array and never destroys it.
 func leakArray(rt *ga.Runtime) {
-	a, err := rt.Create("leak", 4, 4, 2, 2, tile.RoundRobin) // want `distributed array "a" is neither destroyed`
+	a, err := rt.CreateTiled("leak", grids(), nil, tile.RoundRobin) // want `distributed array "a" is neither destroyed`
 	if err != nil {
 		return
 	}
@@ -88,18 +94,18 @@ func leakArray(rt *ga.Runtime) {
 
 // cleanArray destroys what it creates.
 func cleanArray(rt *ga.Runtime) error {
-	a, err := rt.Create("ok", 4, 4, 2, 2, tile.RoundRobin)
+	a, err := rt.CreateTiled("ok", grids(), nil, tile.RoundRobin)
 	if err != nil {
 		return err
 	}
-	rt.Destroy(a)
+	rt.DestroyTiled(a)
 	return nil
 }
 
 // cleanArrayStored hands the array off by storing it, the slab pattern
 // of the fused schedules.
-func cleanArrayStored(rt *ga.Runtime, out []*ga.Array) error {
-	a, err := rt.Create("stored", 4, 4, 2, 2, tile.RoundRobin)
+func cleanArrayStored(rt *ga.Runtime, out []*ga.TiledArray) error {
+	a, err := rt.CreateTiled("stored", grids(), nil, tile.RoundRobin)
 	if err != nil {
 		return err
 	}
@@ -108,18 +114,18 @@ func cleanArrayStored(rt *ga.Runtime, out []*ga.Array) error {
 }
 
 // cleanArrayReturned transfers ownership to the caller.
-func cleanArrayReturned(rt *ga.Runtime) (*ga.Array, error) {
-	return rt.Create("ret", 4, 4, 2, 2, tile.RoundRobin)
+func cleanArrayReturned(rt *ga.Runtime) (*ga.TiledArray, error) {
+	return rt.CreateTiled("ret", grids(), nil, tile.RoundRobin)
 }
 
 // collectiveInRegion calls collectives from inside a Parallel body.
-func collectiveInRegion(rt *ga.Runtime, a *ga.Array) error {
+func collectiveInRegion(rt *ga.Runtime, a *ga.TiledArray) error {
 	return rt.Parallel(func(p *ga.Proc) {
-		b, err := rt.Create("inner", 4, 4, 2, 2, tile.RoundRobin) // want `collective ga\.Runtime\.Create called inside a Parallel region`
+		b, err := rt.CreateTiled("inner", grids(), nil, tile.RoundRobin) // want `collective ga\.Runtime\.CreateTiled called inside a Parallel region`
 		if err != nil {
 			return
 		}
-		rt.Destroy(b) // want `collective ga\.Runtime\.Destroy called inside a Parallel region`
+		rt.DestroyTiled(b) // want `collective ga\.Runtime\.DestroyTiled called inside a Parallel region`
 	})
 }
 
@@ -135,10 +141,10 @@ func regionEscape(rt *ga.Runtime) error {
 }
 
 // cleanRegion allocates, uses, and frees inside the region.
-func cleanRegion(rt *ga.Runtime, a *ga.Array) error {
+func cleanRegion(rt *ga.Runtime, a *ga.TiledArray) error {
 	return rt.Parallel(func(p *ga.Proc) {
 		b := p.MustAllocLocal(16)
-		p.Get(a, 0, 4, 0, 4, b.Data, 4)
+		p.GetT(a, b.Data, 0, 0)
 		p.FreeLocal(b)
 	})
 }

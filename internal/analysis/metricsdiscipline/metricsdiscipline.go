@@ -45,14 +45,6 @@ var guardedTypes = [...][2]string{
 	{"trace", "Tracer"},
 }
 
-// wallClock lists the time-package functions that read or schedule
-// against the real clock.
-var wallClock = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"Tick": true, "After": true, "AfterFunc": true,
-	"NewTimer": true, "NewTicker": true,
-}
-
 func run(pass *analysis.Pass) error {
 	clockAllowed := pass.Pkg.Name() == "main" ||
 		strings.Contains(pass.Pkg.Path(), "experiments") ||
@@ -107,7 +99,7 @@ func isMethodOf(info *types.Info, fn *ast.FuncDecl, pkgName, typeName string) bo
 func checkWallClock(pass *analysis.Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
-		if !ok || !wallClock[id.Name] {
+		if !ok || !analysis.WallClock[id.Name] {
 			return true
 		}
 		obj := pass.TypesInfo.Uses[id]

@@ -1,7 +1,6 @@
 package nbdiscipline_test
 
 import (
-	"strings"
 	"testing"
 
 	"fourindex/internal/analysis"
@@ -15,34 +14,6 @@ func TestNbDiscipline(t *testing.T) {
 
 func TestNbFlow(t *testing.T) {
 	analysistest.Run(t, nbdiscipline.Analyzer, "./testdata/src/nbflow")
-}
-
-// TestLegacyMissesFlowCases proves the flow-sensitive rewrite is a
-// strict improvement: the lexical LegacyAnalyzer reports neither the
-// early-return leak nor the use-before-wait in the nbflow fixture,
-// because in source order every handle has a Wait somewhere below it.
-func TestLegacyMissesFlowCases(t *testing.T) {
-	legacy := diagsFor(t, nbdiscipline.LegacyAnalyzer, "./testdata/src/nbflow")
-	for _, d := range legacy {
-		if strings.Contains(d.Message, "does not reach Wait") ||
-			strings.Contains(d.Message, "before the handle's Wait") {
-			t.Errorf("legacy analyzer unexpectedly caught a flow-only case: %s", d)
-		}
-	}
-
-	flow := diagsFor(t, nbdiscipline.Analyzer, "./testdata/src/nbflow")
-	leaks, bufReads := 0, 0
-	for _, d := range flow {
-		if strings.Contains(d.Message, "does not reach Wait") {
-			leaks++
-		}
-		if strings.Contains(d.Message, "before the handle's Wait") {
-			bufReads++
-		}
-	}
-	if leaks < 2 || bufReads < 1 {
-		t.Errorf("flow analyzer found %d path leaks and %d in-flight buffer reads; want >=2 and >=1", leaks, bufReads)
-	}
 }
 
 // TestSuppression checks the //lint:ignore contract on the nbsuppress

@@ -78,5 +78,5 @@ func cleanRetry(rt *ga.Runtime) error {
 // cleanOutsideRegion: errors outside Parallel regions are errflow's
 // business, not this analyzer's.
 func cleanOutsideRegion(rt *ga.Runtime) {
-	_, _ = rt.Create("a", 4, 4, 2, 2, tile.RoundRobin)
+	_, _ = rt.CreateTiled("a", []tile.Grid{tile.NewGrid(4, 2)}, nil, tile.RoundRobin)
 }

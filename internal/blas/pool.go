@@ -1,9 +1,7 @@
 package blas
 
 import (
-	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -88,56 +86,4 @@ func SetWorkers(workers int) {
 // goroutines, including callers' own).
 func Workers() int {
 	return cap(getPool().slots) + 1
-}
-
-// The float64 workspace pool recycles the quadrant temporaries the
-// Strassen path allocates at every recursion level (see strassen.go).
-// Buffers are bucketed by power-of-two capacity like the ga runtime's
-// tile-staging pool, and re-zeroed on reuse so a recycled buffer is
-// indistinguishable from a fresh make: the Strassen schedule only ever
-// overwrites its temporaries, but zeroing keeps the pool's contract
-// independent of that discipline.
-
-// bufBuckets covers capacities up to 2^39 elements — far beyond any
-// matrix this package is asked to multiply.
-const bufBuckets = 40
-
-var bufPools [bufBuckets]sync.Pool
-
-// bufBucket returns the smallest b with 1<<b >= n (n > 0).
-func bufBucket(n int) int {
-	return bits.Len(uint(n - 1))
-}
-
-// getBuf returns a zeroed length-n buffer, recycled when the bucket has
-// one free.
-func getBuf(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	bkt := bufBucket(n)
-	if bkt >= bufBuckets {
-		return make([]float64, n)
-	}
-	if v := bufPools[bkt].Get(); v != nil {
-		s := (*v.(*[]float64))[:n]
-		clear(s)
-		return s
-	}
-	return make([]float64, n, 1<<bkt)
-}
-
-// putBuf recycles a buffer obtained from getBuf. Buffers whose capacity
-// is not an exact bucket size (never produced by getBuf) are dropped.
-func putBuf(s []float64) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	bkt := bufBucket(c)
-	if bkt >= bufBuckets {
-		return
-	}
-	s = s[:0]
-	bufPools[bkt].Put(&s)
 }

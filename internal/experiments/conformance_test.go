@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 )
+
+// figure2 simulates all of Figure 2 at most once per test binary run:
+// the conformance test and the report test check the same outcomes.
+var figure2 = sync.OnceValues(func() ([]Outcome, error) { return RunFigure("") })
 
 // TestFullFigure2Conformance simulates every bar group of Figure 2 and
 // asserts zero shape deviations from the paper's prose-stated outcomes.
@@ -12,7 +17,7 @@ func TestFullFigure2Conformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 2 simulation (~2 min)")
 	}
-	outs, err := RunFigure("")
+	outs, err := figure2()
 	if err != nil {
 		t.Fatal(err)
 	}

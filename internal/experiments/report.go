@@ -16,6 +16,16 @@ import (
 // `cmd/figures -report` and exists so that EXPERIMENTS.md-style tables
 // can be regenerated from scratch on any machine.
 func WriteReport(w io.Writer, now time.Time) error {
+	outs, err := RunFigure("")
+	if err != nil {
+		return err
+	}
+	return writeReport(w, now, outs)
+}
+
+// writeReport writes the report around already simulated Figure 2
+// outcomes.
+func writeReport(w io.Writer, now time.Time, outs []Outcome) error {
 	fmt.Fprintf(w, "# Reproduction report\n\nGenerated %s by `cmd/figures -report`.\n\n",
 		now.Format("2006-01-02 15:04:05 MST"))
 
@@ -57,10 +67,6 @@ func WriteReport(w io.Writer, now time.Time) error {
 	fmt.Fprintf(w, "\n## Figure 2 — simulated vs paper (kiloseconds)\n\n")
 	fmt.Fprintf(w, "| fig | molecule | sys/cores | sim hybrid | scheme | sim NWChem | speedup | paper hybrid | paper NWChem | conforms |\n")
 	fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
-	outs, err := RunFigure("")
-	if err != nil {
-		return err
-	}
 	deviations := 0
 	for _, o := range outs {
 		conforms := "yes"

@@ -10,8 +10,12 @@ func TestWriteReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 2 simulation")
 	}
+	outs, err := figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	if err := WriteReport(&sb, time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)); err != nil {
+	if err := writeReport(&sb, time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC), outs); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -152,16 +152,6 @@ type Options struct {
 	// phase, and per-operation Get/Put/Acc/Barrier events. Nil disables
 	// tracing at zero cost.
 	Trace *trace.Tracer
-	// Strassen routes the contraction GEMMs through the Strassen-Winograd
-	// path (blas.DgemmStrassen): recursion above the process-wide
-	// crossover, the classic blocked kernel below it. Strassen
-	// reassociates additions, so Execute-mode results are no longer
-	// bitwise identical to the default path (they differ by O(eps)
-	// rounding); a run is still deterministic against itself — the same
-	// options and crossover reproduce C bitwise, overlap or faults
-	// included. Cost mode is unaffected (the cost model charges classic
-	// 2mnk flops either way). Off by default.
-	Strassen bool
 	// Overlap enables the nonblocking communication path: schedules
 	// double-buffer tile gets and pipeline tile writes through
 	// ga.NbGetT/NbPutT/NbAccT, so transfer time overlaps compute (the

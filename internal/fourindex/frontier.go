@@ -352,7 +352,7 @@ func TuneFrontierContext(ctx context.Context, opt Options, space TuneSpace, tole
 	}
 	// A byte budget under one element, or a machine model with no
 	// memory, leaves no capacity to bound against — surface the typed
-	// capacity error instead of reaching lb's checkS panic.
+	// capacity error instead of reaching lb's non-positive-S panic.
 	if err := chain.CheckCapacity(capElems); err != nil {
 		return nil, fmt.Errorf("fourindex: frontier tuner: %w", err)
 	}

@@ -19,9 +19,6 @@ type runCtx struct {
 	gl   tile.Grid // fused outer-loop grid over l
 	rt   *ga.Runtime
 	exec bool
-	// strassen routes execute-mode GEMMs through blas.DgemmStrassen
-	// (Options.Strassen).
-	strassen bool
 	// eff is the contraction-kernel efficiency used for simulated
 	// time (1.0 for this paper's batched-GEMM implementations; lower
 	// for the NWChem baseline whose Listing 4 structure issues one
@@ -55,10 +52,7 @@ func newRunCtx(opt Options) (*runCtx, error) {
 		gl:   tile.NewGrid(opt.Spec.N, opt.TileL),
 		rt:   rt,
 		exec: opt.Mode == ga.Execute,
-		// strassen only changes which kernel computes; cost-mode runs
-		// never reach the kernel, so gate it on exec for clarity.
-		strassen: opt.Strassen && opt.Mode == ga.Execute,
-		eff:      1,
+		eff:  1,
 	}, nil
 }
 
@@ -311,16 +305,9 @@ func sl(b ga.Buffer, off int) []float64 {
 
 // gemmInto wraps blas.Dgemm for Execute mode and charges flops in both
 // modes: out(mxn) += a(mxk) . b(kxn), row-major with explicit strides.
-// With Options.Strassen set the multiply goes through the
-// Strassen-Winograd path instead; the flop charge stays the classic
-// 2mnk in either case so simulated costs are kernel-independent.
 func (c *runCtx) gemm(p *ga.Proc, transA, transB bool, m, n, k int, a []float64, lda int, b []float64, ldb int, out []float64, ldc int) {
 	p.ComputeEff(blas.GemmFlops(m, n, k), c.eff)
 	if !c.exec {
-		return
-	}
-	if c.strassen {
-		blas.DgemmStrassen(transA, transB, m, n, k, 1, a, lda, b, ldb, 1, out, ldc)
 		return
 	}
 	blas.Dgemm(transA, transB, m, n, k, 1, a, lda, b, ldb, 1, out, ldc)

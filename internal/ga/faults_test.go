@@ -26,7 +26,7 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rt.Create("A", 8, 8, 2, 2, tile.RoundRobin)
+	a, err := rt.CreateTiled("A", grids(8, 4, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,8 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 			buf[i] = float64(p.ID()*16 + i)
 		}
 		for rep := 0; rep < 10; rep++ {
-			p.Put(a, p.ID()*4, p.ID()*4+4, 0, 4, buf, 4)
-			p.Get(a, p.ID()*4, p.ID()*4+4, 0, 4, buf, 4)
+			p.PutT(a, buf, p.ID(), 0)
+			p.GetT(a, buf, p.ID(), 0)
 		}
 	})
 	if err != nil {
@@ -58,9 +58,7 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 	if int64(retryEvents) != rt.Totals().Retries {
 		t.Errorf("retry events %d != retry counter %d", retryEvents, rt.Totals().Retries)
 	}
-	if err := rt.Destroy(a); err != nil {
-		t.Fatal(err)
-	}
+	rt.DestroyTiled(a)
 }
 
 // A 100% transient rate exhausts the budget and must surface as a typed
@@ -74,12 +72,12 @@ func TestRetryExhaustionIsTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rt.Create("A", 2, 2, 2, 2, tile.RoundRobin)
+	a, err := rt.CreateTiled("A", grids(2, 2, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = rt.Parallel(func(p *Proc) {
-		p.Put(a, 0, 2, 0, 2, make([]float64, 4), 2)
+		p.PutT(a, make([]float64, 4), 0, 0)
 	})
 	var re *faults.RetryExhaustedError
 	if !errors.As(err, &re) {
@@ -107,12 +105,12 @@ func TestRetryExhaustionIsTerminal(t *testing.T) {
 // run against the same plan.
 func TestCrashPointPoisonsBarrierOnce(t *testing.T) {
 	plan := &faults.Plan{Crash: &faults.CrashPoint{Run: 1, Proc: 1, Seq: 0}}
-	body := func(a *Array) func(p *Proc) {
+	body := func(a *TiledArray) func(p *Proc) {
 		return func(p *Proc) {
 			buf := make([]float64, 4)
-			p.Put(a, p.ID()*2, p.ID()*2+2, 0, 2, buf, 2)
+			p.PutT(a, buf, p.ID(), 0)
 			p.Barrier()
-			p.Get(a, p.ID()*2, p.ID()*2+2, 0, 2, buf, 2)
+			p.GetT(a, buf, p.ID(), 0)
 		}
 	}
 
@@ -120,7 +118,7 @@ func TestCrashPointPoisonsBarrierOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := rt1.Create("A", 4, 4, 2, 2, tile.RoundRobin)
+	a1, err := rt1.CreateTiled("A", grids(4, 2, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +140,7 @@ func TestCrashPointPoisonsBarrierOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := rt2.Create("A", 4, 4, 2, 2, tile.RoundRobin)
+	a2, err := rt2.CreateTiled("A", grids(4, 2, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +164,12 @@ func TestStragglerSlowsOneProcess(t *testing.T) {
 		return rt
 	}
 	work := func(rt *Runtime) float64 {
-		a, err := rt.Create("A", 64, 64, 8, 8, tile.RoundRobin)
+		a, err := rt.CreateTiled("A", grids(64, 64, 2), nil, tile.RoundRobin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := rt.Parallel(func(p *Proc) {
-			p.Get(a, 0, 64, 0, 64, nil, 64)
+			p.GetT(a, nil, 0, 0)
 			p.Compute(1 << 20)
 		}); err != nil {
 			t.Fatal(err)
@@ -195,20 +193,20 @@ func TestLateOOMPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rt.Create("A", 8, 8, 4, 4, tile.RoundRobin)
+	a, err := rt.CreateTiled("A", grids(8, 4, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatalf("pre-trigger create should succeed: %v", err)
 	}
 	if err := rt.Parallel(func(p *Proc) {
 		buf := make([]float64, 16)
-		p.Put(a, 0, 4, 0, 4, buf, 4)
-		p.Get(a, 0, 4, 0, 4, buf, 4)
-		p.Get(a, 4, 8, 4, 8, buf, 4)
-		p.Get(a, 0, 4, 4, 8, buf, 4)
+		p.PutT(a, buf, 0, 0)
+		p.GetT(a, buf, 0, 0)
+		p.GetT(a, buf, 1, 1)
+		p.GetT(a, buf, 0, 1)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = rt.Create("B", 8, 8, 4, 4, tile.RoundRobin)
+	_, err = rt.CreateTiled("B", grids(8, 4, 2), nil, tile.RoundRobin)
 	if !errors.Is(err, ErrGlobalOOM) {
 		t.Fatalf("post-trigger create returned %v, want ErrGlobalOOM", err)
 	}

@@ -35,20 +35,21 @@ func TestNewRuntimeValidation(t *testing.T) {
 
 func TestCreatePutGetRoundTrip(t *testing.T) {
 	rt := newExec(t, 3)
-	a, err := rt.Create("A", 10, 12, 4, 5, tile.RoundRobin)
+	a, err := rt.CreateTiled("A", grids(5, 2, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A ragged edge tile (rows 4..5, cols 2..4), written by one process
+	// and read back by another in a later region.
 	err = rt.Parallel(func(p *Proc) {
 		if p.ID() != 0 {
 			return
 		}
-		buf := make([]float64, 6)
+		buf := make([]float64, 2)
 		for i := range buf {
 			buf[i] = float64(i + 1)
 		}
-		// Patch crossing tile boundaries: rows 2..4, cols 3..6.
-		p.Put(a, 2, 4, 3, 6, buf, 3)
+		p.PutT(a, buf, 2, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +58,10 @@ func TestCreatePutGetRoundTrip(t *testing.T) {
 		if p.ID() != 2 {
 			return
 		}
-		got := make([]float64, 6)
-		p.Get(a, 2, 4, 3, 6, got, 3)
+		got := make([]float64, 2)
+		if w := p.GetT(a, got, 2, 1); w != 2 {
+			t.Errorf("GetT returned %d words, want 2", w)
+		}
 		for i := range got {
 			if got[i] != float64(i+1) {
 				t.Errorf("got[%d] = %v, want %d", i, got[i], i+1)
@@ -68,38 +71,23 @@ func TestCreatePutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Destroy(a)
-}
-
-func TestGetWithLargerLeadingDimension(t *testing.T) {
-	rt := newExec(t, 1)
-	a, _ := rt.Create("A", 4, 4, 2, 2, tile.RoundRobin)
-	_ = rt.Parallel(func(p *Proc) {
-		buf := []float64{1, 2, 3, 4}
-		p.Put(a, 0, 2, 0, 2, buf, 2)
-		out := make([]float64, 2*5)
-		p.Get(a, 0, 2, 0, 2, out, 5)
-		if out[0] != 1 || out[1] != 2 || out[5] != 3 || out[6] != 4 {
-			t.Errorf("strided get wrong: %v", out)
-		}
-	})
+	rt.DestroyTiled(a)
 }
 
 func TestAccAccumulatesConcurrently(t *testing.T) {
 	rt := newExec(t, 8)
-	a, _ := rt.Create("C", 6, 6, 3, 3, tile.RoundRobin)
+	a, _ := rt.CreateTiled("C", grids(6, 3, 2), nil, tile.RoundRobin)
 	err := rt.Parallel(func(p *Proc) {
-		buf := make([]float64, 36)
+		buf := make([]float64, 9)
 		for i := range buf {
 			buf[i] = 1
 		}
-		p.Acc(a, 0, 6, 0, 6, 1, buf, 6)
+		a.ForEachTile(func(coords []int) { p.AccT(a, 1, buf, coords...) })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := a.ReadAll()
-	for i, v := range all {
+	for i, v := range a.SnapshotTiles() {
 		if v != 8 {
 			t.Fatalf("element %d = %v, want 8 (one per process)", i, v)
 		}
@@ -108,13 +96,13 @@ func TestAccAccumulatesConcurrently(t *testing.T) {
 
 func TestAccAlpha(t *testing.T) {
 	rt := newExec(t, 1)
-	a, _ := rt.Create("C", 2, 2, 2, 2, tile.RoundRobin)
+	a, _ := rt.CreateTiled("C", grids(2, 2, 2), nil, tile.RoundRobin)
 	_ = rt.Parallel(func(p *Proc) {
 		buf := []float64{1, 2, 3, 4}
-		p.Acc(a, 0, 2, 0, 2, 2.5, buf, 2)
+		p.AccT(a, 2.5, buf, 0, 0)
 	})
 	want := []float64{2.5, 5, 7.5, 10}
-	for i, v := range a.ReadAll() {
+	for i, v := range a.SnapshotTiles() {
 		if v != want[i] {
 			t.Errorf("elem %d = %v, want %v", i, v, want[i])
 		}
@@ -123,14 +111,15 @@ func TestAccAlpha(t *testing.T) {
 
 func TestRemoteVsIntraAccounting(t *testing.T) {
 	rt := newExec(t, 2)
-	// 2 row tiles, round robin: tile row 0 -> proc 0, tile row 1 -> proc 1.
-	a, _ := rt.Create("A", 4, 2, 2, 2, tile.RoundRobin)
+	// 2 row tiles, round robin: tile (0,0) -> proc 0, tile (1,0) -> proc 1.
+	a, _ := rt.CreateTiled("A", []tile.Grid{tile.NewGrid(4, 2), tile.NewGrid(2, 2)}, nil, tile.RoundRobin)
 	err := rt.Parallel(func(p *Proc) {
 		if p.ID() != 0 {
 			return
 		}
-		buf := make([]float64, 8)
-		p.Put(a, 0, 4, 0, 2, buf, 2) // rows 0-1 local, rows 2-3 remote
+		buf := make([]float64, 4)
+		p.PutT(a, buf, 0, 0) // rows 0-1: local
+		p.PutT(a, buf, 1, 0) // rows 2-3: remote
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,13 +138,10 @@ func TestRemoteVsIntraAccounting(t *testing.T) {
 
 func TestOwnershipHelpers(t *testing.T) {
 	rt := newExec(t, 3)
-	a, _ := rt.Create("A", 9, 9, 3, 3, tile.RoundRobin)
+	a, _ := rt.CreateTiled("A", grids(9, 3, 2), nil, tile.RoundRobin)
 	// 3x3 tiles; linear id = tr*3+tc; owner = id % 3.
-	if a.TileOwner(0, 0) != 0 || a.TileOwner(0, 1) != 1 || a.TileOwner(1, 0) != 0 {
-		t.Error("TileOwner mismatch")
-	}
-	if a.OwnerOf(4, 7) != a.TileOwner(1, 2) {
-		t.Error("OwnerOf disagrees with TileOwner")
+	if a.Owner(0, 0) != 0 || a.Owner(0, 1) != 1 || a.Owner(1, 0) != 0 || a.Owner(1, 2) != 2 {
+		t.Error("Owner mismatch")
 	}
 	if a.Bytes() != 9*9*8 {
 		t.Errorf("Bytes = %d", a.Bytes())
@@ -164,20 +150,20 @@ func TestOwnershipHelpers(t *testing.T) {
 
 func TestGlobalMemoryEnforcement(t *testing.T) {
 	rt, _ := NewRuntime(Config{Procs: 1, Mode: Execute, GlobalMemBytes: 1000})
-	a, err := rt.Create("A", 10, 10, 5, 5, tile.RoundRobin) // 800 B
+	a, err := rt.CreateTiled("A", grids(10, 5, 2), nil, tile.RoundRobin) // 800 B
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Create("B", 10, 10, 5, 5, tile.RoundRobin); !errors.Is(err, ErrGlobalOOM) {
+	if _, err := rt.CreateTiled("B", grids(10, 5, 2), nil, tile.RoundRobin); !errors.Is(err, ErrGlobalOOM) {
 		t.Errorf("expected ErrGlobalOOM, got %v", err)
 	}
-	rt.Destroy(a)
+	rt.DestroyTiled(a)
 	// After destroy the capacity is free again.
-	b, err := rt.Create("B", 10, 10, 5, 5, tile.RoundRobin)
+	b, err := rt.CreateTiled("B", grids(10, 5, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Destroy(b)
+	rt.DestroyTiled(b)
 	if rt.GlobalBytes() != 0 || rt.LiveArrays() != 0 {
 		t.Error("memory not released")
 	}
@@ -262,14 +248,14 @@ func TestCostModeAccountsWithoutData(t *testing.T) {
 	run, _ := cluster.SystemA().Configure(2, 8)
 	rt, _ := NewRuntime(Config{Procs: 2, Mode: Cost, Run: &run})
 	// A deliberately huge array: must not allocate element storage.
-	a, err := rt.Create("big", 1_000_000, 1_000_000, 10_000, 10_000, tile.RoundRobin)
+	a, err := rt.CreateTiled("big", grids(1_000_000, 10_000, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = rt.Parallel(func(p *Proc) {
 		if p.ID() == 0 {
-			p.Put(a, 0, 20000, 0, 5, nil, 0)
-			p.Get(a, 0, 100, 0, 100, nil, 0)
+			p.PutT(a, nil, 0, 0)
+			p.GetT(a, nil, 0, 1)
 		}
 		p.Compute(12345)
 	})
@@ -281,85 +267,54 @@ func TestCostModeAccountsWithoutData(t *testing.T) {
 		t.Errorf("flops = %d", tot.Flops)
 	}
 	moved := rt.CommVolume() + rt.IntraVolume()
-	if moved != 20000*5+100*100 {
+	if moved != 2*10_000*10_000 {
 		t.Errorf("moved = %d elements", moved)
 	}
 	if rt.Elapsed() <= 0 {
 		t.Error("cost mode should advance simulated time")
 	}
-	rt.Destroy(a)
+	rt.DestroyTiled(a)
 }
 
 func TestStrictReadBeforeWrite(t *testing.T) {
 	rt, _ := NewRuntime(Config{Procs: 1, Mode: Execute, Strict: true})
-	a, _ := rt.Create("A", 4, 4, 2, 2, tile.RoundRobin)
+	a, _ := rt.CreateTiled("A", grids(4, 2, 2), nil, tile.RoundRobin)
 	err := rt.Parallel(func(p *Proc) {
 		buf := make([]float64, 4)
-		p.Get(a, 0, 2, 0, 2, buf, 2)
+		p.GetT(a, buf, 0, 0)
 	})
 	if err == nil {
 		t.Fatal("strict mode should reject Get of never-written tile")
 	}
 	err = rt.Parallel(func(p *Proc) {
 		buf := []float64{1, 2, 3, 4}
-		p.Put(a, 0, 2, 0, 2, buf, 2)
-		p.Get(a, 0, 2, 0, 2, buf, 2)
+		p.PutT(a, buf, 0, 0)
+		p.GetT(a, buf, 0, 0)
 	})
 	if err != nil {
 		t.Fatalf("Get after Put should pass strict mode: %v", err)
 	}
 }
 
-func TestDoubleDestroyTypedError(t *testing.T) {
-	rt := newExec(t, 1)
-	a, _ := rt.Create("A", 2, 2, 2, 2, tile.RoundRobin)
-	if err := rt.Destroy(a); err != nil {
-		t.Fatalf("first destroy: %v", err)
-	}
-	live := rt.LiveArrays()
-	err := rt.Destroy(a)
-	var dd *DoubleDestroyError
-	if !errors.As(err, &dd) {
-		t.Fatalf("double destroy returned %v, want *DoubleDestroyError", err)
-	}
-	if dd.Name != "A" {
-		t.Errorf("DoubleDestroyError.Name = %q, want \"A\"", dd.Name)
-	}
-	if got := rt.LiveArrays(); got != live {
-		t.Errorf("double destroy changed live-array count: %d -> %d", live, got)
-	}
-}
-
 func TestUseAfterDestroyPanics(t *testing.T) {
 	rt := newExec(t, 1)
-	a, _ := rt.Create("A", 2, 2, 2, 2, tile.RoundRobin)
-	rt.Destroy(a)
+	a, _ := rt.CreateTiled("A", grids(2, 2, 2), nil, tile.RoundRobin)
+	rt.DestroyTiled(a)
 	err := rt.Parallel(func(p *Proc) {
-		p.Get(a, 0, 1, 0, 1, make([]float64, 1), 1)
+		p.GetT(a, make([]float64, 4), 0, 0)
 	})
 	if err == nil {
 		t.Error("Get after destroy should fail")
 	}
 }
 
-func TestInvalidPatchPanics(t *testing.T) {
-	rt := newExec(t, 1)
-	a, _ := rt.Create("A", 4, 4, 2, 2, tile.RoundRobin)
-	cases := [][4]int{{0, 5, 0, 4}, {2, 2, 0, 4}, {-1, 1, 0, 4}, {0, 4, 3, 2}}
-	for _, c := range cases {
-		err := rt.Parallel(func(p *Proc) {
-			p.Get(a, c[0], c[1], c[2], c[3], make([]float64, 100), 10)
-		})
-		if err == nil {
-			t.Errorf("patch %v should fail", c)
-		}
-	}
-}
-
 func TestCreateInvalidShape(t *testing.T) {
 	rt := newExec(t, 1)
-	if _, err := rt.Create("A", 0, 4, 2, 2, tile.RoundRobin); err == nil {
-		t.Error("zero rows should error")
+	if _, err := rt.CreateTiled("A", nil, nil, tile.RoundRobin); err == nil {
+		t.Error("zero dimensions should error")
+	}
+	if rt.LiveArrays() != 0 || rt.GlobalBytes() != 0 {
+		t.Error("failed create must not charge the ledger")
 	}
 }
 
@@ -371,32 +326,6 @@ func TestParallelRunsAllProcs(t *testing.T) {
 	}
 	if n.Load() != 7 {
 		t.Errorf("ran %d procs, want 7", n.Load())
-	}
-}
-
-func TestReadAllMatchesPuts(t *testing.T) {
-	rt := newExec(t, 4)
-	a, _ := rt.Create("A", 5, 7, 2, 3, tile.RoundRobin)
-	err := rt.Parallel(func(p *Proc) {
-		// Each proc writes its own rows r where r % procs == id.
-		for r := p.ID(); r < 5; r += p.Procs() {
-			row := make([]float64, 7)
-			for c := range row {
-				row[c] = float64(r*10 + c)
-			}
-			p.Put(a, r, r+1, 0, 7, row, 7)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := a.ReadAll()
-	for r := 0; r < 5; r++ {
-		for c := 0; c < 7; c++ {
-			if all[r*7+c] != float64(r*10+c) {
-				t.Fatalf("(%d,%d) = %v", r, c, all[r*7+c])
-			}
-		}
 	}
 }
 

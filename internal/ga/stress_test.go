@@ -27,16 +27,16 @@ func TestStressConcurrentAccSingleTile(t *testing.T) {
 	}
 	// One dim x dim tile: every Acc from every process contends for the
 	// same tile lock.
-	a, err := rt.Create("hot", dim, dim, dim, dim, tile.RoundRobin)
+	a, err := rt.CreateTiled("hot", grids(dim, dim, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Destroy(a)
+	defer rt.DestroyTiled(a)
 
 	zero := make([]float64, dim*dim)
 	if err := rt.Parallel(func(p *Proc) {
 		if p.ID() == 0 {
-			p.Put(a, 0, dim, 0, dim, zero, dim)
+			p.PutT(a, zero, 0, 0)
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestStressConcurrentAccSingleTile(t *testing.T) {
 			buf.Data[i] = 1
 		}
 		for r := 0; r < rounds; r++ {
-			p.Acc(a, 0, dim, 0, dim, float64(p.ID()+1), buf.Data, dim)
+			p.AccT(a, float64(p.ID()+1), buf.Data, 0, 0)
 			if r%10 == 0 {
 				p.Barrier()
 			}
@@ -64,7 +64,7 @@ func TestStressConcurrentAccSingleTile(t *testing.T) {
 	for id := 1; id <= procs; id++ {
 		want += float64(rounds * id)
 	}
-	for i, v := range a.ReadAll() {
+	for i, v := range a.SnapshotTiles() {
 		if v != want {
 			t.Fatalf("element %d = %v, want %v", i, v, want)
 		}
@@ -82,11 +82,11 @@ func TestStressBarrierPoisonUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rt.Create("poison", 4, 4, 2, 2, tile.RoundRobin)
+	a, err := rt.CreateTiled("poison", grids(4, 2, 2), nil, tile.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Destroy(a)
+	defer rt.DestroyTiled(a)
 
 	for trial := 0; trial < 3; trial++ {
 		var released atomic.Int64
@@ -95,7 +95,7 @@ func TestStressBarrierPoisonUnderLoad(t *testing.T) {
 			buf := p.MustAllocLocal(4)
 			defer p.FreeLocal(buf)
 			for r := 0; ; r++ {
-				p.Acc(a, 0, 2, 0, 2, 1, buf.Data, 2)
+				p.AccT(a, 1, buf.Data, 0, 0)
 				if p.ID() == trial && r == 2 {
 					panic(fmt.Errorf("proc %d gives up", p.ID()))
 				}

@@ -10,7 +10,7 @@ import (
 // open schedule-level spans and drop marks, plus the counter snapshot
 // that feeds per-span resource deltas. Per-operation events (Get, Put,
 // Acc, Barrier, Create, Destroy) are emitted at their call sites in
-// array.go, tiled.go and ga.go.
+// tiled.go and ga.go.
 
 // Tracing reports whether an enabled tracer is attached to the runtime.
 // Schedules use it to guard trace-only work (such as formatting mark

@@ -152,7 +152,7 @@ func (c *Chain) ConfigTight(cfg Config) bool {
 // regime-aware group rules as lb.ConfigBoundAt (which delegates here).
 // It returns a *ValidationError for a bad configuration and a
 // *CapacityError for S <= 0 — the serve-reachable replacement for lb's
-// checkS panic.
+// non-positive-S panic.
 func (c *Chain) ConfigBoundAt(cfg Config, S int64) (float64, error) {
 	if err := c.CheckConfig(cfg); err != nil {
 		return 0, err

@@ -27,7 +27,7 @@ func (e *ValidationError) Error() string {
 }
 
 // CapacityError reports an unusable fast-memory capacity handed to a
-// bound evaluation — the typed replacement for lb's checkS panic on the
+// bound evaluation — the typed replacement for lb's non-positive-S panic on the
 // paths reachable from user-supplied job payloads.
 type CapacityError struct {
 	// S is the rejected capacity in elements.

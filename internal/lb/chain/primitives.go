@@ -3,11 +3,10 @@ package chain
 import "math"
 
 // The published matmul I/O lower bounds, as pure functions of the
-// contraction shape. These are the same expressions package lb has
-// always used (lb now delegates here); they perform no validation — the
-// engine entry points validate S before evaluating them, and lb's
-// wrappers keep their historical panic-on-bad-S contract for internal
-// programmer errors.
+// contraction shape. This is their one implementation in the module.
+// They perform no validation: the engine entry points validate S
+// before evaluating them, and other callers check S themselves (with
+// CheckCapacity, or a CLI's flag validation).
 
 // Dongarra returns the Dongarra et al. constant-factor I/O lower bound
 // for an (ni x nj) by (nj x nk) matrix product with fast memory S:

@@ -66,7 +66,7 @@ func ThresholdsFor(n, s int) Thresholds {
 // The result is monotone non-increasing in S (the frontier property the
 // tests pin).
 func ConfigBoundAt(c FusionConfig, n, s int, S int64) float64 {
-	checkS(S)
+	mustCapacity(S)
 	b, err := fourIndexChain(n, s).ConfigBoundAt(c.engine(), S)
 	if err != nil {
 		panic(fmt.Sprintf("lb: bad fusion config %v: %v", c.Groups, err))

@@ -3,6 +3,8 @@ package lb
 import (
 	"math"
 	"testing"
+
+	"fourindex/internal/lb/chain"
 )
 
 // TestHourglassMatmulTighterThanDongarra pins the point of the
@@ -13,7 +15,7 @@ func TestHourglassMatmulTighterThanDongarra(t *testing.T) {
 	var n int64 = 512
 	for _, s := range []int64{1 << 10, 1 << 14, 1 << 18} {
 		hg := HourglassMatmulLB(n*n*n, n, n, s)
-		dg := DongarraMatmulLB(n*n*n, n, n, s)
+		dg := chain.Dongarra(n*n*n, n, n, s)
 		if hg <= dg {
 			t.Errorf("S=%d: hourglass %g not above Dongarra %g", s, hg, dg)
 		}

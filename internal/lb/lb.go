@@ -1,10 +1,10 @@
 // Package lb implements the paper's data-movement lower-bound analysis
-// (Sections 4-6) for the four-index transform: published matrix-
-// multiplication I/O lower bounds, the Fusion Lemma, per-contraction
-// tight bounds, the enumeration and ordering of fusion configurations,
-// the necessary/sufficient conditions for full intermediate reuse, and
-// the memory/flop formulas behind the fuse/unfuse hybrid driver
-// (Section 7.4).
+// (Sections 4-6) for the four-index transform: per-contraction tight
+// bounds, the enumeration and ordering of fusion configurations, the
+// necessary/sufficient conditions for full intermediate reuse, and the
+// memory/flop formulas behind the fuse/unfuse hybrid driver (Section
+// 7.4). The published matrix-multiplication bounds and the Fusion Lemma
+// themselves live in internal/lb/chain.
 //
 // Since the generalized bound engine landed, every Section 5/6 quantity
 // here is *derived* by internal/lb/chain from the declarative
@@ -25,32 +25,11 @@ import (
 	"fourindex/internal/lb/chain"
 )
 
-// HongKungMatmulLB returns the Hong & Kung asymptotic I/O lower bound for
-// multiplying two n x n matrices with fast memory S: Omega(n^3 / sqrt S).
-// The returned value uses unit constant (the original paper's bound is
-// asymptotic).
-func HongKungMatmulLB(n, s int64) float64 {
-	checkS(s)
-	return chain.HongKung(n, s)
-}
-
-// IronyMatmulLB returns the Irony/Toledo/Tiskin constant-factor bound for
-// an (ni x nj) by (nj x nk) product: ni*nj*nk / (2*sqrt(2*S)).
-func IronyMatmulLB(ni, nj, nk, s int64) float64 {
-	checkS(s)
-	return chain.Irony(ni, nj, nk, s)
-}
-
-// DongarraMatmulLB returns the tighter Dongarra et al. bound used
-// throughout the paper: 1.73 * ni*nj*nk / sqrt(S).
-func DongarraMatmulLB(ni, nj, nk, s int64) float64 {
-	checkS(s)
-	return chain.Dongarra(ni, nj, nk, s)
-}
-
-func checkS(s int64) {
-	if s <= 0 {
-		panic(fmt.Sprintf("lb: non-positive fast memory size %d", s))
+// mustCapacity panics on a non-positive fast-memory size S: the
+// programmer-error form of chain.CheckCapacity for lb's internal callers.
+func mustCapacity(s int64) {
+	if err := chain.CheckCapacity(s); err != nil {
+		panic("lb: " + err.Error())
 	}
 }
 
@@ -65,40 +44,6 @@ func fourIndexChain(n, s int) *chain.Chain {
 	return ch
 }
 
-// TiledMatmulIO returns the data movement achieved by a T-tiled classical
-// matmul of two n x n matrices (Section 2.3): ~2n^3/T for the dominant
-// A/B traffic. Valid for T <= sqrt(S/3).
-func TiledMatmulIO(n, t int64) float64 {
-	if t <= 0 {
-		panic(fmt.Sprintf("lb: non-positive tile size %d", t))
-	}
-	return 2 * float64(n) * float64(n) * float64(n) / float64(t)
-}
-
-// UntiledMatmulIO returns the data movement of the untiled i-j-k matmul
-// when B does not fit in fast memory: the entire B is re-read for every i
-// (Section 2.3), i.e. n^3 ignoring A and C traffic.
-func UntiledMatmulIO(n int64) float64 {
-	return float64(n) * float64(n) * float64(n)
-}
-
-// FusionLemma is Lemma 4.2: given I/O lower bounds for producer C1 and
-// consumer C2 and the size of the intermediate O1 flowing between them,
-// any fused schedule has I/O at least lb1 + lb2 - 2*|O1|.
-func FusionLemma(lb1, lb2 float64, sizeO1 int64) float64 {
-	return chain.FusionLemma(lb1, lb2, sizeO1)
-}
-
-// MaxFusionSaving bounds the I/O reduction fusion can deliver: unfused
-// tight I/O minus the Fusion-Lemma bound, never negative. When this is a
-// small fraction of unfusedIO, fusion is futile (Section 4).
-func MaxFusionSaving(unfusedIO, fusedLB float64) float64 {
-	if s := unfusedIO - fusedLB; s > 0 {
-		return s
-	}
-	return 0
-}
-
 // ContractionLB returns the I/O lower bound for one tensor contraction of
 // the transform viewed as an (n^3 x n) x (n x n) matrix product with
 // input size in and output size out (Section 5.1):
@@ -108,7 +53,7 @@ func MaxFusionSaving(unfusedIO, fusedLB float64) float64 {
 // For S >= n^2 + n + 1 the sum of input and output sizes is tight
 // (Listing 5 achieves it).
 func ContractionLB(n, s, in, out int64) float64 {
-	checkS(s)
+	mustCapacity(s)
 	return chain.MatmulOpLB(n*n*n, n, n, s, in, out)
 }
 
@@ -124,7 +69,7 @@ func ContractionLB(n, s, in, out int64) float64 {
 // 1.73/sqrt(S) form once S is small against the iteration space, and
 // matching the best known blocked schedules up to the -2S boundary term.
 func HourglassMatmulLB(ni, nj, nk, s int64) float64 {
-	checkS(s)
+	mustCapacity(s)
 	v := 2*float64(ni)*float64(nj)*float64(nk)/math.Sqrt(float64(s)) - 2*float64(s)
 	if v < 0 {
 		return 0
@@ -148,7 +93,7 @@ func HourglassMatmulLB(ni, nj, nk, s int64) float64 {
 // exceed a symmetric run's true data movement (attained fractions above
 // 1.0), while this bound never can.
 func HourglassContractionLB(flops, s, in, out int64) float64 {
-	checkS(s)
+	mustCapacity(s)
 	floor := float64(in + out)
 	v := float64(flops)/math.Sqrt(float64(s)) - 2*float64(s)
 	if v < floor {

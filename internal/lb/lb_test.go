@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fourindex/internal/lb/chain"
 	"fourindex/internal/sym"
 )
 
@@ -12,15 +13,15 @@ func TestMatmulBoundsOrdering(t *testing.T) {
 	// Dongarra's bound is tighter (larger) than Irony's for the same
 	// problem, and both must be positive.
 	ni, nj, nk, s := int64(100), int64(100), int64(100), int64(1024)
-	irony := IronyMatmulLB(ni, nj, nk, s)
-	dongarra := DongarraMatmulLB(ni, nj, nk, s)
+	irony := chain.Irony(ni, nj, nk, s)
+	dongarra := chain.Dongarra(ni, nj, nk, s)
 	if irony <= 0 || dongarra <= 0 {
 		t.Fatal("bounds must be positive")
 	}
 	if dongarra <= irony {
 		t.Errorf("Dongarra %v should exceed Irony %v", dongarra, irony)
 	}
-	hk := HongKungMatmulLB(100, s)
+	hk := chain.HongKung(100, s)
 	if hk <= 0 {
 		t.Error("Hong-Kung bound must be positive")
 	}
@@ -28,8 +29,8 @@ func TestMatmulBoundsOrdering(t *testing.T) {
 
 func TestBoundsScaleWithS(t *testing.T) {
 	// More fast memory => weaker (smaller) lower bound, ~1/sqrt(S).
-	b1 := DongarraMatmulLB(64, 64, 64, 256)
-	b2 := DongarraMatmulLB(64, 64, 64, 1024)
+	b1 := chain.Dongarra(64, 64, 64, 256)
+	b2 := chain.Dongarra(64, 64, 64, 1024)
 	if ratio := b1 / b2; math.Abs(ratio-2) > 1e-9 {
 		t.Errorf("4x memory should halve the bound; ratio = %v", ratio)
 	}
@@ -41,26 +42,11 @@ func TestBadSPanics(t *testing.T) {
 			t.Error("S = 0 did not panic")
 		}
 	}()
-	DongarraMatmulLB(4, 4, 4, 0)
-}
-
-func TestTiledVsUntiledMatmulIO(t *testing.T) {
-	// Section 2.3: tiling reduces I/O from ~N^3 to ~2N^3/T.
-	n := int64(1024)
-	for _, tile := range []int64{8, 32, 128} {
-		tiled := TiledMatmulIO(n, tile)
-		untiled := UntiledMatmulIO(n)
-		if tiled >= untiled && tile > 2 {
-			t.Errorf("T=%d: tiled I/O %v should beat untiled %v", tile, tiled, untiled)
-		}
-	}
-	if TiledMatmulIO(n, 1) != 2*UntiledMatmulIO(n) {
-		t.Error("T=1 tiled I/O should be 2N^3")
-	}
+	ContractionLB(4, 0, 1, 1)
 }
 
 func TestFusionLemmaArithmetic(t *testing.T) {
-	if got := FusionLemma(100, 200, 40); got != 220 {
+	if got := chain.FusionLemma(100, 200, 40); got != 220 {
 		t.Errorf("FusionLemma = %v, want 100+200-80 = 220", got)
 	}
 }
@@ -73,11 +59,12 @@ func TestFusionFutileForSquareChain(t *testing.T) {
 	// 2 * 1.73 N^3/sqrt(S) - 2N^2, so the saving is under
 	// 0.54 N^3/sqrt(S) + 2N^2 — around 27% of one matmul's I/O.
 	n, s := int64(4096), int64(64*64)
-	lbOne := DongarraMatmulLB(n, n, n, s)
-	fusedLB := FusionLemma(lbOne, lbOne, n*n)
-	unfused := 2 * TiledMatmulIO(n, int64(math.Sqrt(float64(s))))
-	saving := MaxFusionSaving(unfused, fusedLB)
-	perMatmul := TiledMatmulIO(n, int64(math.Sqrt(float64(s))))
+	lbOne := chain.Dongarra(n, n, n, s)
+	fusedLB := chain.FusionLemma(lbOne, lbOne, n*n)
+	// A T-tiled classical matmul moves ~2N^3/T elements (Section 2.3).
+	perMatmul := 2 * float64(n*n*n) / math.Sqrt(float64(s))
+	unfused := 2 * perMatmul
+	saving := max(unfused-fusedLB, 0)
 	if frac := saving / perMatmul; frac > 0.30 {
 		t.Errorf("square-chain fusion saving fraction = %v, paper bounds it near 27%%", frac)
 	}
@@ -87,21 +74,15 @@ func TestFusionFutileForSquareChain(t *testing.T) {
 // dwarfs the inherent I/O, so fusion can be very beneficial.
 func TestFusionBeneficialForOuterProductChain(t *testing.T) {
 	n, k, s := int64(10000), int64(16), int64(4096)
-	lbOne := DongarraMatmulLB(n, k, n, s)
+	lbOne := chain.Dongarra(n, k, n, s)
 	inter := n * n
-	fusedLB := FusionLemma(lbOne, lbOne, inter)
+	fusedLB := chain.FusionLemma(lbOne, lbOne, inter)
 	// The unfused schedule must at least write and read the
 	// intermediate: 2|O1| plus the inherent terms.
 	unfusedMin := 2*lbOne + 2*float64(inter)
-	saving := MaxFusionSaving(unfusedMin, fusedLB)
+	saving := max(unfusedMin-fusedLB, 0)
 	if frac := saving / unfusedMin; frac < 0.5 {
 		t.Errorf("tall-skinny fusion saving fraction = %v, want > 0.5", frac)
-	}
-}
-
-func TestMaxFusionSavingNonNegative(t *testing.T) {
-	if MaxFusionSaving(10, 50) != 0 {
-		t.Error("saving must clamp at zero")
 	}
 }
 
@@ -117,7 +98,7 @@ func TestContractionLB(t *testing.T) {
 	// Tiny S: Dongarra term dominates.
 	tinyS := int64(16)
 	got = ContractionLB(n, tinyS, sz.A, sz.O1)
-	want := DongarraMatmulLB(n*n*n, n, n, tinyS)
+	want := chain.Dongarra(n*n*n, n, n, tinyS)
 	if got != want {
 		t.Errorf("small-S bound = %v, want Dongarra %v", got, want)
 	}

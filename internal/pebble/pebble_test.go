@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"fourindex/internal/cdag"
-	"fourindex/internal/lb"
+	"fourindex/internal/lb/chain"
 )
 
 func TestGameRules(t *testing.T) {
@@ -232,7 +232,7 @@ func TestMeasuredIODominatesLowerBounds(t *testing.T) {
 			if err != nil {
 				continue // S too small for this order's working set
 			}
-			irony := lb.IronyMatmulLB(int64(n), int64(n), int64(n), int64(s))
+			irony := chain.Irony(int64(n), int64(n), int64(n), int64(s))
 			if float64(res.IO()) < irony {
 				t.Errorf("S=%d %s: measured %d < Irony bound %v", s, name, res.IO(), irony)
 			}
@@ -267,7 +267,7 @@ func TestChainFusionNearFutileForSquare(t *testing.T) {
 	}
 	// Fusion Lemma: fused I/O >= LB(C1) + LB(C2) - 2|O1| with the
 	// trivial per-matmul bound |in|+|out| = 3n^2.
-	lemma := lb.FusionLemma(float64(3*n*n), float64(3*n*n), int64(n*n))
+	lemma := chain.FusionLemma(float64(3*n*n), float64(3*n*n), int64(n*n))
 	if float64(fused.IO()) < lemma {
 		t.Errorf("fused I/O %d violates Fusion Lemma bound %v", fused.IO(), lemma)
 	}

@@ -101,22 +101,6 @@ func Gate(cur, base *Report, tolerance float64) ([]string, error) {
 		}
 	}
 
-	// The Strassen calibration is machine-dependent in its timings and
-	// pick, so only its shape is gated: when both reports carry one, the
-	// ladders must sweep the same sizes; a current calibration with no
-	// baseline counterpart means the baseline predates the sweep. A
-	// baseline-only calibration is fine (smoke runs skip the sweep).
-	if cur.Strassen != nil {
-		if base.Strassen == nil {
-			violations = append(violations,
-				"strassen calibration present but missing from the baseline (regenerate with `make bench`)")
-		} else if !sameLadder(cur.Strassen.Sizes, base.Strassen.Sizes) {
-			violations = append(violations, fmt.Sprintf(
-				"strassen calibration ladder changed: %v vs baseline %v (regenerate with `make bench`)",
-				ladderSizes(cur.Strassen.Sizes), ladderSizes(base.Strassen.Sizes)))
-		}
-	}
-
 	if len(ratios) > 0 {
 		vs := make([]float64, len(ratios))
 		for i, r := range ratios {
@@ -132,29 +116,6 @@ func Gate(cur, base *Report, tolerance float64) ([]string, error) {
 		}
 	}
 	return violations, nil
-}
-
-// ladderSizes projects a calibration ladder onto its sizes.
-func ladderSizes(pts []StrassenPoint) []int {
-	ns := make([]int, len(pts))
-	for i, p := range pts {
-		ns[i] = p.N
-	}
-	return ns
-}
-
-// sameLadder reports whether two calibration ladders swept the same
-// sizes in the same order.
-func sameLadder(a, b []StrassenPoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].N != b[i].N {
-			return false
-		}
-	}
-	return true
 }
 
 // relDiff is |a-b| / max(|a|,|b|), 0 when both are zero.

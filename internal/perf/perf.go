@@ -42,9 +42,10 @@ import (
 // incompatibly; Gate refuses to compare across versions. Version 2
 // added the overlap axis (each matrix cell runs with the nonblocking
 // communication path off and on) and the exposed-comm fraction.
-// Version 3 added the Strassen axis on execute points and the
-// crossover-calibration block.
-const SchemaVersion = 3
+// Version 3 added a Strassen GEMM axis on execute points and a
+// crossover-calibration block; version 4 removed both again (the
+// recursion never engaged at any benchmarked size).
+const SchemaVersion = 4
 
 // benchSeed fixes the integral-generator seed for every benchmark run.
 const benchSeed = 7
@@ -88,14 +89,6 @@ type Config struct {
 	// selects {false, true}, which pins the overlap win (cost-mode
 	// simulated seconds and the exposed-comm fraction) in the baseline.
 	Overlap []bool
-	// Strassen sweeps Options.Strassen over execute points (cost points
-	// charge identical classical flops either way, so the axis would
-	// only duplicate them). Empty selects {false, true}.
-	Strassen []bool
-	// Calibrate runs the Strassen crossover sweep (CalibrateStrassen)
-	// and records it in the report. Full benchmark runs only — the
-	// sweep's large GEMMs dominate a smoke run's budget.
-	Calibrate bool
 	// Measure records wall time and allocations (and the read-path and
 	// transposed-B GEMM microbenchmarks). Off, the report is fully
 	// deterministic.
@@ -116,7 +109,6 @@ func DefaultConfig() Config {
 		},
 		Gomaxprocs: []int{1, 4},
 		Measure:    true,
-		Calibrate:  true,
 		Repeats:    3,
 	}
 }
@@ -168,10 +160,6 @@ type Point struct {
 	// Overlap reports whether the point ran with the nonblocking
 	// communication path (Options.Overlap).
 	Overlap bool `json:"overlap,omitempty"`
-	// Strassen reports whether the point routed its contraction GEMMs
-	// through the Strassen-Winograd path (Options.Strassen; execute
-	// points only).
-	Strassen bool `json:"strassen,omitempty"`
 
 	// Deterministic accounting, identical across machines and runs.
 	Flops           int64   `json:"flops"`
@@ -196,20 +184,14 @@ type Point struct {
 	Measured *Measured `json:"measured,omitempty"`
 }
 
-// Key identifies a point across reports (for baseline comparison). The
-// Strassen suffix appears only on Strassen points, so classic-path keys
-// are stable across the schema-2 to schema-3 transition.
+// Key identifies a point across reports (for baseline comparison).
 func (p Point) Key() string {
 	ov := 0
 	if p.Overlap {
 		ov = 1
 	}
-	st := ""
-	if p.Strassen {
-		st = "/st1"
-	}
-	return fmt.Sprintf("%s/%s/n%d/%s%s/p%d/g%d/o%d%s",
-		p.Kind, p.Scheme, p.N, p.Molecule, p.System, p.Procs, p.Gomaxprocs, ov, st)
+	return fmt.Sprintf("%s/%s/n%d/%s%s/p%d/g%d/o%d",
+		p.Kind, p.Scheme, p.N, p.Molecule, p.System, p.Procs, p.Gomaxprocs, ov)
 }
 
 // Report is the schema-versioned benchmark output.
@@ -220,8 +202,6 @@ type Report struct {
 	ReadPath *ReadPathResult `json:"readPath,omitempty"`
 	// GemmTransB is the transposed-B GEMM microbenchmark (Measure only).
 	GemmTransB *GemmTransBResult `json:"gemmTransB,omitempty"`
-	// Strassen is the crossover calibration sweep (Calibrate only).
-	Strassen *StrassenCalibration `json:"strassen,omitempty"`
 }
 
 // withDefaults fills the config's empty fields.
@@ -245,9 +225,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Overlap) == 0 {
 		c.Overlap = []bool{false, true}
-	}
-	if len(c.Strassen) == 0 {
-		c.Strassen = []bool{false, true}
 	}
 	if c.Repeats <= 0 {
 		c.Repeats = 3
@@ -276,14 +253,12 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		for _, ep := range cfg.ExecutePoints {
 			for _, s := range cfg.Schemes {
 				for _, ov := range cfg.Overlap {
-					for _, st := range cfg.Strassen {
-						pt, err := runExecutePoint(ctx, s, ep, gmp, ov, st, cfg)
-						if err != nil {
-							runtime.GOMAXPROCS(prev)
-							return nil, err
-						}
-						rep.Points = append(rep.Points, pt)
+					pt, err := runExecutePoint(ctx, s, ep, gmp, ov, cfg)
+					if err != nil {
+						runtime.GOMAXPROCS(prev)
+						return nil, err
 					}
+					rep.Points = append(rep.Points, pt)
 				}
 			}
 		}
@@ -314,10 +289,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		gb := BenchGemmTransB(192, 192, 192)
 		rep.GemmTransB = &gb
 	}
-	if cfg.Calibrate {
-		cal := CalibrateStrassen(DefaultStrassenLadder(), cfg.Repeats)
-		rep.Strassen = &cal
-	}
 	return rep, nil
 }
 
@@ -330,14 +301,13 @@ func executeOptions(ep ExecutePoint) (fourindex.Options, error) {
 	return fourindex.Options{Spec: spec, Procs: ep.Procs, Mode: ga.Execute}, nil
 }
 
-func runExecutePoint(ctx context.Context, s fourindex.Scheme, ep ExecutePoint, gmp int, overlap, strassen bool, cfg Config) (Point, error) {
+func runExecutePoint(ctx context.Context, s fourindex.Scheme, ep ExecutePoint, gmp int, overlap bool, cfg Config) (Point, error) {
 	opt, err := executeOptions(ep)
 	if err != nil {
 		return Point{}, err
 	}
 	opt.Overlap = overlap
-	opt.Strassen = strassen
-	pt := Point{Kind: "execute", Scheme: s.String(), N: ep.N, Procs: ep.Procs, Gomaxprocs: gmp, Overlap: overlap, Strassen: strassen}
+	pt := Point{Kind: "execute", Scheme: s.String(), N: ep.N, Procs: ep.Procs, Gomaxprocs: gmp, Overlap: overlap}
 	if err := fillPoint(ctx, &pt, s, opt, ep.N, 1, cfg); err != nil {
 		if errors.Is(err, fourindex.ErrCanceled) {
 			return Point{}, err

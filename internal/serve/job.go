@@ -40,10 +40,6 @@ type JobSpec struct {
 	// TileN and TileL override the planner's tile widths.
 	TileN int `json:"tileN,omitempty"`
 	TileL int `json:"tileL,omitempty"`
-	// Strassen routes the job's contraction GEMMs above the crossover
-	// through the Strassen-Winograd path (execute mode; cost mode
-	// charges classical flops and ignores it).
-	Strassen bool `json:"strassen,omitempty"`
 	// DeadlineSeconds cancels the job if it runs longer (0 = none).
 	DeadlineSeconds float64 `json:"deadlineSeconds,omitempty"`
 	// Chain submits a chain-analysis job instead of a transform: the
@@ -134,13 +130,12 @@ type Job struct {
 // schedule, tiling, mode and — centrally — the memory reservation the
 // job runs under.
 type jobPlan struct {
-	spec     chem.Spec
-	scheme   ifx.Scheme
-	mode     ga.Mode
-	procs    int
-	tileN    int
-	tileL    int
-	strassen bool
+	spec   chem.Spec
+	scheme ifx.Scheme
+	mode   ga.Mode
+	procs  int
+	tileN  int
+	tileL  int
 	// reservedBytes is the admission reservation: the exact peak
 	// footprint of a cost-mode dry run of this schedule, clamped up to
 	// the ConfigMinMemory floor. It becomes the job's
@@ -247,7 +242,6 @@ type statusJSON struct {
 	Mode          string     `json:"mode"`
 	TileN         int        `json:"tileN"`
 	TileL         int        `json:"tileL"`
-	Strassen      bool       `json:"strassen,omitempty"`
 	ReservedBytes int64      `json:"reservedBytes"`
 	Resumed       bool       `json:"resumed,omitempty"`
 	Error         string     `json:"error,omitempty"`
@@ -279,7 +273,6 @@ func (j *Job) status() statusJSON {
 		Mode:          j.Spec.Mode,
 		TileN:         j.plan.tileN,
 		TileL:         j.plan.tileL,
-		Strassen:      j.plan.strassen,
 		ReservedBytes: j.plan.reservedBytes,
 		Resumed:       j.Resumed,
 		Error:         j.Error,

@@ -49,8 +49,8 @@ type persistedJob struct {
 // persistedPlan is the serializable form of jobPlan.
 type persistedPlan struct {
 	// N, Sym and Seed reconstruct the chem.Spec.
-	N   int    `json:"n"`
-	Sym int    `json:"sym"`
+	N   int `json:"n"`
+	Sym int `json:"sym"`
 	// Seed seeds the synthetic integral generator; persisting it is
 	// what makes a resumed run operate on bitwise-identical inputs.
 	Seed uint64 `json:"seed"`
@@ -62,9 +62,6 @@ type persistedPlan struct {
 	Procs int `json:"procs"`
 	TileN int `json:"tileN"`
 	TileL int `json:"tileL"`
-	// Strassen pins the GEMM path, so a resumed execute-mode run keeps
-	// the arithmetic (and hence the checksum) of the run it continues.
-	Strassen bool `json:"strassen,omitempty"`
 	// ReservedBytes and MinBytes pin the admission reservation.
 	ReservedBytes int64 `json:"reservedBytes"`
 	MinBytes      int64 `json:"minBytes"`
@@ -115,7 +112,6 @@ func persistJob(j *Job) persistedJob {
 			Procs:         j.plan.procs,
 			TileN:         j.plan.tileN,
 			TileL:         j.plan.tileL,
-			Strassen:      j.plan.strassen,
 			ReservedBytes: j.plan.reservedBytes,
 			MinBytes:      j.plan.minBytes,
 		},
@@ -175,7 +171,6 @@ func (pj persistedJob) restore() (*Job, error) {
 			procs:         pj.Plan.Procs,
 			tileN:         pj.Plan.TileN,
 			tileL:         pj.Plan.TileL,
-			strassen:      pj.Plan.Strassen,
 			reservedBytes: pj.Plan.ReservedBytes,
 			minBytes:      pj.Plan.MinBytes,
 		},
