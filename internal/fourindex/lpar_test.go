@@ -1,6 +1,7 @@
 package fourindex
 
 import (
+	"fmt"
 	"testing"
 
 	"fourindex/internal/chem"
@@ -90,5 +91,29 @@ func TestLParAccountingInvariant(t *testing.T) {
 	f2, v2 := get(4)
 	if f1 != f2 || v1 != v2 {
 		t.Errorf("accounting differs with LPar: flops %d vs %d, volume %d vs %d", f1, f2, v1, v2)
+	}
+}
+
+// Nested l tiling must not make C depend on goroutine scheduling: each
+// C tile's slab contributions are accumulated by one process in slab
+// order, so any batch width gives the LPar=1 tensor bit for bit, with
+// the nonblocking path off and on.
+func TestLParBitwiseReproducible(t *testing.T) {
+	sp := chem.MustSpec(10, 1, 17)
+	for _, overlap := range []bool{false, true} {
+		base := Options{Spec: sp, Procs: 3, Mode: ga.Execute, TileN: 4, TileL: 3, Overlap: overlap}
+		want, err := Run(FullyFusedInner, base)
+		if err != nil {
+			t.Fatalf("LPar=1 overlap=%v: %v", overlap, err)
+		}
+		for _, lp := range []int{2, 3} {
+			o := base
+			o.LPar = lp
+			res, err := Run(FullyFusedInner, o)
+			if err != nil {
+				t.Fatalf("LPar=%d overlap=%v: %v", lp, overlap, err)
+			}
+			bitwiseEqual(t, fmt.Sprintf("LPar=%d overlap=%v", lp, overlap), res.C.Data(), want.C.Data())
+		}
 	}
 }
