@@ -39,11 +39,14 @@ lint-fixtures:
 vet:
 	$(GO) vet ./...
 
-# golden pins the Chrome trace export byte-for-byte; regenerate with
-# `go test ./internal/trace -update` after an intentional schedule or
-# cost-model change.
+# golden pins the Chrome trace export byte-for-byte and every
+# schedule's fingerprint (event stream, C bits, counters, simulated
+# clocks); regenerate with `go test ./internal/trace -update` or
+# `go test ./internal/fourindex -run TestScheduleFingerprints -update`
+# after an intentional schedule or cost-model change.
 golden:
 	$(GO) test -count=1 -run 'TestChromeTraceGolden' ./internal/trace/
+	$(GO) test -count=1 -run 'TestScheduleFingerprints' ./internal/fourindex/
 
 # chains-golden pins the generalized bound engine to the hand-derived
 # four-index closed forms bit-for-bit (thresholds, per-op bounds,
