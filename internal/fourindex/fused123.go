@@ -83,7 +83,9 @@ func runFused123(opt Options) (*Result, error) {
 					if workOwner(p.Procs(), 121, tj, tk, tlo) != p.ID() {
 						continue
 					}
-					c.op1Slab(p, aT, o1T, tj, tk, wl)
+					c.op1(p, aT, o1T, c.g.Width(tj), c.g.Width(tk)*wl,
+						func(ti int) (int, int, int, int) { return ti, tj, tk, 0 },
+						func(ta int) (int, int, int, int) { return ta, tj, tk, 0 })
 				}
 			}
 		}); err != nil {
@@ -103,7 +105,9 @@ func runFused123(opt Options) (*Result, error) {
 					if workOwner(p.Procs(), 122, ta, tk, tlo) != p.ID() {
 						continue
 					}
-					c.op2Slab(p, o1T, o2T, ta, tk, wl)
+					c.op2(p, o1T, o2T, ta, c.g.Width(tk)*wl,
+						func(tj int) (int, int, int, int) { return ta, tj, tk, 0 },
+						func(tb int) (int, int, int, int) { return ta, tb, tk, 0 })
 				}
 			}
 		}); err != nil {
@@ -120,7 +124,9 @@ func runFused123(opt Options) (*Result, error) {
 					if workOwner(p.Procs(), 123, ta, tb, tlo) != p.ID() {
 						continue
 					}
-					c.op3Slab(p, o2T, o3T, ta, tb, wl, tlo)
+					c.op3(p, o2T, o3T, c.g.Width(ta)*c.g.Width(tb), wl,
+						func(tk int) (int, int, int, int) { return ta, tb, tk, 0 },
+						func(tc int) (int, int, int, int) { return ta, tb, tc, tlo })
 				}
 			}
 		}); err != nil {

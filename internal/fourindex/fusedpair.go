@@ -23,6 +23,7 @@ func runFusedPair(opt Options) (*Result, error) {
 	}
 	defer c.beginRoot(Fused1234Pair)()
 	g4 := c.grids4()
+	pairs := triPairs(c.nt)
 
 	// Single stage checkpoint: once the fused op12 pass has produced the
 	// full O2, a restart recreates O2 from the snapshot and runs only the
@@ -57,7 +58,7 @@ func runFusedPair(opt Options) (*Result, error) {
 					if workOwner(p.Procs(), 12, tk, tl) != p.ID() {
 						continue
 					}
-					c.op12Unit(p, aT, o2T, tk, tl, c.g.Width(tl), 0, c.nt)
+					c.op12Unit(p, aT, o2T, pairs, tk, tl, 0, c.nt)
 				}
 			}
 		}); err != nil {
@@ -92,7 +93,7 @@ func runFusedPair(opt Options) (*Result, error) {
 				if workOwner(p.Procs(), 34, ta, tb) != p.ID() {
 					continue
 				}
-				c.op34Unit(p, o2T, cT, ta, tb, c.n, 0, false)
+				c.op34Unit(p, o2T, cT, pairs, ta, tb, 0, false)
 			}
 		}
 	}); err != nil {
@@ -109,26 +110,24 @@ func runFusedPair(opt Options) (*Result, error) {
 // op12Unit computes O2[ta, tb<=ta, tk, lCoord] for every pair with ta in
 // [ta0, ta1), fusing op1 and op2 through a process-local O1 buffer. It
 // serves both the full-size op12/34 schedule (lCoord is a tile of the
-// orbital grid, wl its width) and the Listing 10 inner fusion (aT and
-// o2T carry a single slab tile in the l dimension: lCoord = 0, wl = slab
-// width).
+// orbital grid) and the Listing 10 inner fusion (aT and o2T carry a
+// single slab tile in the l dimension: lCoord = 0); the l width is that
+// of aT's lCoord tile. pairs lists the canonical (ti >= tj) tile pairs.
 //
 // aT is laid out (i, j, k, l) with symmetric (i, j). The alpha
 // restriction [ta0, ta1) implements Section 7.3's alpha-parallelisation:
 // splitting one (k, l) unit over several processes multiplies A reads
 // but shortens the critical path.
-func (c *runCtx) op12Unit(p *ga.Proc, aT, o2T *ga.TiledArray, tk, lCoord, wl, ta0, ta1 int) {
-	wk := c.g.Width(tk)
-	wkl := wk * wl
+func (c *runCtx) op12Unit(p *ga.Proc, aT, o2T *ga.TiledArray, pairs [][2]int, tk, lCoord, ta0, ta1 int) {
+	wkl := c.g.Width(tk) * aT.Grids[3].Width(lCoord)
 
 	// Gather the full A[., ., k in tk, l window] column block once:
 	// each canonical (ti >= tj) tile is read a single time and
 	// mirrored locally, so A moves |A| elements per chunk (the
 	// Section 7.2 accounting), not 2|A|.
-	afull := c.alloc(p, int64(c.n)*int64(c.n)*int64(wkl))
+	afull := p.MustAllocLocal(int64(c.n) * int64(c.n) * int64(wkl))
 	tileW := c.g.T * c.g.T * wkl
-	tmp := c.alloc(p, 2*int64(tileW))
-	pairs := triPairs(c.nt)
+	tmp := p.MustAllocLocal(2 * int64(tileW))
 	prefetch2(p, len(pairs), func(t int) *ga.Handle {
 		return p.NbGetT(aT, sl(tmp, (t%2)*tileW), pairs[t][0], pairs[t][1], tk, lCoord)
 	}, func(t int) {
@@ -160,44 +159,26 @@ func (c *runCtx) op12Unit(p *ga.Proc, aT, o2T *ga.TiledArray, tk, lCoord, wl, ta
 	a0, _ := c.g.Bounds(ta0)
 	_, a1 := c.g.Bounds(ta1 - 1)
 	na := a1 - a0
-	o1loc := c.alloc(p, int64(na)*int64(c.n)*int64(wkl))
-	bbuf := c.alloc(p, int64(c.g.T)*int64(c.n))
+	o1loc := p.MustAllocLocal(int64(na) * int64(c.n) * int64(wkl))
+	bbuf := p.MustAllocLocal(int64(c.g.T) * int64(c.n))
 	rest := c.n * wkl
 	for ta := ta0; ta < ta1; ta++ {
 		wa := c.fillBRow(p, bbuf.Data, ta)
 		taOff, _ := c.g.Bounds(ta)
-		if c.exec {
-			c.gemm(p, false, false, wa, rest, c.n,
-				bbuf.Data, c.n,
-				afull.Data, rest,
-				o1loc.Data[(taOff-a0)*rest:], rest)
-		} else {
-			c.gemm(p, false, false, wa, rest, c.n, nil, c.n, nil, rest, nil, rest)
-		}
+		c.gemm(p, false, false, wa, rest, c.n,
+			bbuf.Data, c.n,
+			afull.Data, rest,
+			sl(o1loc, (taOff-a0)*rest), rest)
 	}
 	p.FreeLocal(afull)
 
 	// op2: O2[a>=b, kl] = sum_j O1[a, j, kl] B[b, j].
-	out := c.alloc(p, int64(c.g.T)*int64(c.g.T)*int64(wkl))
+	out := p.MustAllocLocal(int64(c.g.T) * int64(c.g.T) * int64(wkl))
 	wq := newNbQueue(p)
 	for ta := ta0; ta < ta1; ta++ {
-		wa := c.g.Width(ta)
 		taOff, _ := c.g.Bounds(ta)
-		for tb := 0; tb <= ta; tb++ {
-			wb := c.fillBRow(p, bbuf.Data, tb)
-			if c.exec {
-				zero(out.Data[:wa*wb*wkl])
-				for a := 0; a < wa; a++ {
-					c.gemm(p, false, false, wb, wkl, c.n,
-						bbuf.Data, c.n,
-						o1loc.Data[(taOff-a0+a)*c.n*wkl:], wkl,
-						out.Data[a*wb*wkl:], wkl)
-				}
-			} else {
-				p.ComputeEff(int64(wa)*blas.GemmFlops(wb, wkl, c.n), c.eff)
-			}
-			wq.push(p.NbPutT(o2T, out.Data, ta, tb, tk, lCoord))
-		}
+		c.emit(p, &wq, bbuf, out, sl(o1loc, (taOff-a0)*rest), c.g.Width(ta), wkl, ta+1,
+			o2T, func(tb int) (int, int, int, int) { return ta, tb, tk, lCoord })
 	}
 	wq.drain()
 	p.FreeLocal(out)
@@ -206,40 +187,25 @@ func (c *runCtx) op12Unit(p *ga.Proc, aT, o2T *ga.TiledArray, tk, lCoord, wl, ta
 }
 
 // op34Unit computes the C[(ta, tb), c>=d] tiles from O2[(ta, tb), k, l],
-// fusing op3 and op4 through a process-local O3 buffer.
+// fusing op3 and op4 through a process-local O3 buffer. o2T spans an l
+// window of nl = o2T.Grids[3].N orbitals starting at lOff.
 //
-// When slab is false, o2T spans all canonical (k >= l) tiles, nl = n,
-// lOff = 0, and results overwrite C with PutT. When slab is true, o2T
-// carries a single l slab tile (coordinate 0) of width nl at absolute
-// offset lOff, and the partial contribution of this outer iteration is
-// accumulated into C with AccT.
-func (c *runCtx) op34Unit(p *ga.Proc, o2T, cT *ga.TiledArray, ta, tb, nl, lOff int, slab bool) {
+// When o2T declares (k, l) symmetric it spans the full l range and only
+// its canonical (tk >= tl) tiles, listed in pairs, are read and mirrored
+// locally. Otherwise it carries a single l slab tile (coordinate 0).
+// With acc set, the partial contribution of the window is accumulated
+// into C with AccT; otherwise the tiles overwrite C with PutT.
+func (c *runCtx) op34Unit(p *ga.Proc, o2T, cT *ga.TiledArray, pairs [][2]int, ta, tb, lOff int, acc bool) {
 	wa, wb := c.g.Width(ta), c.g.Width(tb)
 	wab := wa * wb
+	nl := o2T.Grids[3].N
 
 	// o2loc[(a,b)][k][l]: the full k x l window per (a, b).
-	o2loc := c.alloc(p, int64(wab)*int64(c.n)*int64(nl))
+	o2loc := p.MustAllocLocal(int64(wab) * int64(c.n) * int64(nl))
 	tileW := wab * c.g.T * max(c.g.T, nl)
-	tmp := c.alloc(p, 2*int64(tileW))
-	if slab {
-		prefetch2(p, c.nt, func(tk int) *ga.Handle {
-			return p.NbGetT(o2T, sl(tmp, (tk%2)*tileW), ta, tb, tk, 0)
-		}, func(tk int) {
-			if !c.exec {
-				return
-			}
-			row, _ := c.g.Bounds(tk)
-			wk := c.g.Width(tk)
-			got := tmp.Data[(tk%2)*tileW:]
-			for ab := 0; ab < wab; ab++ { // tile (a, b, k, l-slab)
-				src := got[ab*wk*nl : (ab+1)*wk*nl]
-				dst := o2loc.Data[(ab*c.n+row)*nl : (ab*c.n+row+wk)*nl]
-				copy(dst, src)
-			}
-		})
-	} else {
+	tmp := p.MustAllocLocal(2 * int64(tileW))
+	if symPaired(o2T, 2) {
 		// Canonical (tk >= tl) tiles; fill (k,l) and mirror (l,k).
-		pairs := triPairs(c.nt)
 		prefetch2(p, len(pairs), func(t int) *ga.Handle {
 			return p.NbGetT(o2T, sl(tmp, (t%2)*tileW), ta, tb, pairs[t][0], pairs[t][1])
 		}, func(t int) {
@@ -263,12 +229,28 @@ func (c *runCtx) op34Unit(p *ga.Proc, o2T, cT *ga.TiledArray, ta, tb, nl, lOff i
 				}
 			}
 		})
+	} else {
+		prefetch2(p, c.nt, func(tk int) *ga.Handle {
+			return p.NbGetT(o2T, sl(tmp, (tk%2)*tileW), ta, tb, tk, 0)
+		}, func(tk int) {
+			if !c.exec {
+				return
+			}
+			row, _ := c.g.Bounds(tk)
+			wk := c.g.Width(tk)
+			got := tmp.Data[(tk%2)*tileW:]
+			for ab := 0; ab < wab; ab++ { // tile (a, b, k, l-slab)
+				src := got[ab*wk*nl : (ab+1)*wk*nl]
+				dst := o2loc.Data[(ab*c.n+row)*nl : (ab*c.n+row+wk)*nl]
+				copy(dst, src)
+			}
+		})
 	}
 	p.FreeLocal(tmp)
 
 	// op3: O3[(a,b), c, l] = B[c, k] . O2[(a,b), k, l].
-	o3loc := c.alloc(p, int64(wab)*int64(c.n)*int64(nl))
-	bbuf := c.alloc(p, int64(c.g.T)*int64(c.n))
+	o3loc := p.MustAllocLocal(int64(wab) * int64(c.n) * int64(nl))
+	bbuf := p.MustAllocLocal(int64(c.g.T) * int64(c.n))
 	for tc := 0; tc < c.nt; tc++ {
 		wc := c.fillBRow(p, bbuf.Data, tc)
 		c0, _ := c.g.Bounds(tc)
@@ -286,43 +268,12 @@ func (c *runCtx) op34Unit(p *ga.Proc, o2T, cT *ga.TiledArray, ta, tb, nl, lOff i
 	p.FreeLocal(o2loc)
 
 	// op4: C[(a,b), c>=d] (+)= O3[(a,b), c, l] . B[d, lOff+l]^T.
-	ball := c.alloc(p, int64(c.n)*int64(nl))
-	p.Compute(int64(coeffFlops) * int64(c.n) * int64(nl))
-	if c.exec {
-		for d := 0; d < c.n; d++ {
-			for l := 0; l < nl; l++ {
-				ball.Data[d*nl+l] = c.opt.Spec.ComputeB(d, lOff+l)
-			}
-		}
-	}
-	out := c.alloc(p, int64(wab)*int64(c.g.T)*int64(c.g.T))
+	ball := c.bPanel(p, lOff, nl)
+	out := p.MustAllocLocal(int64(wab) * int64(c.g.T) * int64(c.g.T))
 	wq := newNbQueue(p)
 	for tc := 0; tc < c.nt; tc++ {
 		c0, _ := c.g.Bounds(tc)
-		wc := c.g.Width(tc)
-		for td := 0; td <= tc; td++ {
-			if !cT.Stored(ta, tb, tc, td) {
-				continue // spatial symmetry forbids this block
-			}
-			d0, _ := c.g.Bounds(td)
-			wd := c.g.Width(td)
-			if c.exec {
-				zero(out.Data[:wab*wc*wd])
-				for ab := 0; ab < wab; ab++ {
-					c.gemm(p, false, true, wc, wd, nl,
-						o3loc.Data[(ab*c.n+c0)*nl:], nl,
-						ball.Data[d0*nl:], nl,
-						out.Data[ab*wc*wd:], wd)
-				}
-			} else {
-				p.ComputeEff(int64(wab)*blas.GemmFlops(wc, wd, nl), c.eff)
-			}
-			if slab {
-				wq.push(p.NbAccT(cT, 1, out.Data, ta, tb, tc, td))
-			} else {
-				wq.push(p.NbPutT(cT, out.Data, ta, tb, tc, td))
-			}
-		}
+		c.emitC(p, &wq, out, cT, acc, ta, tb, tc, sl(o3loc, c0*nl), c.n*nl, nl, ball.Data)
 	}
 	wq.drain()
 	p.FreeLocal(out)

@@ -83,12 +83,6 @@ func workOwner(procs int, coords ...int) int {
 	return int(h % uint64(procs))
 }
 
-// alloc returns a local buffer of the given size, nil-backed in Cost
-// mode. FreeLocal must be called with the returned Buffer.
-func (c *runCtx) alloc(p *ga.Proc, words int64) ga.Buffer {
-	return p.MustAllocLocal(words)
-}
-
 // fillBRow fills buf (row-major wa x n) with B[a, i] for a in tile ta and
 // ALL i, charging generation flops.
 func (c *runCtx) fillBRow(p *ga.Proc, buf []float64, ta int) (wa int) {
@@ -123,7 +117,7 @@ func (c *runCtx) generateA(aT *ga.TiledArray, lOff int) error {
 				return
 			}
 			words := int64(aT.TileWords(coordsCopy[:]))
-			buf := c.alloc(p, words)
+			buf := p.MustAllocLocal(words)
 			p.Compute(integralFlops * words)
 			if c.exec {
 				c.fillATile(aT, buf.Data, coordsCopy[:], lOff)
@@ -157,7 +151,7 @@ func (c *runCtx) generateABatch(aTs []*ga.TiledArray, lOffs []int) error {
 					return
 				}
 				words := int64(aT.TileWords(coordsCopy[:]))
-				buf := c.alloc(p, words)
+				buf := p.MustAllocLocal(words)
 				p.Compute(integralFlops * words)
 				if c.exec {
 					c.fillATile(aT, buf.Data, coordsCopy[:], lOff)
@@ -303,7 +297,7 @@ func sl(b ga.Buffer, off int) []float64 {
 	return b.Data[off:]
 }
 
-// gemmInto wraps blas.Dgemm for Execute mode and charges flops in both
+// gemm wraps blas.Dgemm for Execute mode and charges flops in both
 // modes: out(mxn) += a(mxk) . b(kxn), row-major with explicit strides.
 func (c *runCtx) gemm(p *ga.Proc, transA, transB bool, m, n, k int, a []float64, lda int, b []float64, ldb int, out []float64, ldc int) {
 	p.ComputeEff(blas.GemmFlops(m, n, k), c.eff)
@@ -393,7 +387,7 @@ func triPairs(nt int) [][2]int {
 	return pairs
 }
 
-// checkOOM converts a global-memory allocation failure into a helpful
+// oomWrap converts a global-memory allocation failure into a helpful
 // error mentioning the scheme.
 func oomWrap(scheme Scheme, err error) error {
 	if err == nil {

@@ -64,7 +64,7 @@ func (c *runCtx) recomputeUnit(p *ga.Proc, cT *ga.TiledArray, ta, tb int) {
 	// op1 with on-the-fly integrals: O1[a in ta, j, k, l] — the
 	// integrals for the full (i, j, k, l) space are regenerated for
 	// every ta block, which is the scheme's redundant work.
-	o1loc := c.alloc(p, int64(wa)*n64*n64*n64)
+	o1loc := p.MustAllocLocal(int64(wa) * n64 * n64 * n64)
 	p.Compute(integralFlops * n64 * n64 * n64 * n64)             // regenerate A
 	p.Compute(2 * int64(wa) * n64 * n64 * n64 * n64)             // contract over i
 	p.Compute(int64(coeffFlops) * (int64(wa) + int64(wb)) * n64) // B rows
@@ -93,7 +93,7 @@ func (c *runCtx) recomputeUnit(p *ga.Proc, cT *ga.TiledArray, ta, tb int) {
 	}
 
 	// op2: O2[(a,b), k, l] = sum_j O1[a, j, k, l] B[b, j].
-	o2loc := c.alloc(p, int64(wab)*n64*n64)
+	o2loc := p.MustAllocLocal(int64(wab) * n64 * n64)
 	p.Compute(2 * int64(wab) * n64 * n64 * n64)
 	if c.exec {
 		bb := make([]float64, wb*n)
@@ -121,16 +121,8 @@ func (c *runCtx) recomputeUnit(p *ga.Proc, cT *ga.TiledArray, ta, tb int) {
 	p.FreeLocal(o1loc)
 
 	// op3: O3[(a,b), c, l] = sum_k O2[(a,b), k, l] B[c, k].
-	o3loc := c.alloc(p, int64(wab)*n64*n64)
-	bfull := c.alloc(p, n64*n64)
-	p.Compute(int64(coeffFlops) * n64 * n64)
-	if c.exec {
-		for r := 0; r < n; r++ {
-			for s := 0; s < n; s++ {
-				bfull.Data[r*n+s] = sp.ComputeB(r, s)
-			}
-		}
-	}
+	o3loc := p.MustAllocLocal(int64(wab) * n64 * n64)
+	bfull := c.bPanel(p, 0, n)
 	if c.exec {
 		for ab := 0; ab < wab; ab++ {
 			c.gemm(p, false, false, n, n, n,
@@ -146,30 +138,11 @@ func (c *runCtx) recomputeUnit(p *ga.Proc, cT *ga.TiledArray, ta, tb int) {
 	// op4: C[(a,b), c>=d] = O3[(a,b), c, l] . B[d, l]^T, then Put. The
 	// writes ride the nonblocking window so each tile's transfer overlaps
 	// the next tile's GEMM.
-	out := c.alloc(p, int64(wab)*int64(c.g.T)*int64(c.g.T))
+	out := p.MustAllocLocal(int64(wab) * int64(c.g.T) * int64(c.g.T))
 	wq := newNbQueue(p)
 	for tc := 0; tc < c.nt; tc++ {
 		c0, _ := c.g.Bounds(tc)
-		wc := c.g.Width(tc)
-		for td := 0; td <= tc; td++ {
-			if !cT.Stored(ta, tb, tc, td) {
-				continue // spatial symmetry forbids this block
-			}
-			d0, _ := c.g.Bounds(td)
-			wd := c.g.Width(td)
-			if c.exec {
-				zero(out.Data[:wab*wc*wd])
-				for ab := 0; ab < wab; ab++ {
-					c.gemm(p, false, true, wc, wd, n,
-						o3loc.Data[(ab*n+c0)*n:], n,
-						bfull.Data[d0*n:], n,
-						out.Data[ab*wc*wd:], wd)
-				}
-			} else {
-				p.ComputeEff(int64(wab)*blas.GemmFlops(wc, wd, n), c.eff)
-			}
-			wq.push(p.NbPutT(cT, out.Data, ta, tb, tc, td))
-		}
+		c.emitC(p, &wq, out, cT, false, ta, tb, tc, sl(o3loc, c0*n), n*n, n, bfull.Data)
 	}
 	wq.drain()
 	p.FreeLocal(out)

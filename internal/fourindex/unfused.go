@@ -3,7 +3,6 @@ package fourindex
 import (
 	"fmt"
 
-	"fourindex/internal/blas"
 	"fourindex/internal/faults"
 	"fourindex/internal/ga"
 )
@@ -154,62 +153,12 @@ func (c *runCtx) op1Unfused(p *ga.Proc, aT, o1T *ga.TiledArray) {
 				if workOwner(p.Procs(), 1, tj, tk, tl) != p.ID() {
 					continue
 				}
-				c.op1Unit(p, aT, o1T, tj, tk, tl)
+				c.op1(p, aT, o1T, c.g.Width(tj), c.g.Width(tk)*c.g.Width(tl),
+					func(ti int) (int, int, int, int) { return ti, tj, tk, tl },
+					func(ta int) (int, int, int, int) { return ta, tj, tk, tl })
 			}
 		}
 	}
-}
-
-func (c *runCtx) op1Unit(p *ga.Proc, aT, o1T *ga.TiledArray, tj, tk, tl int) {
-	wj, wk, wl := c.g.Width(tj), c.g.Width(tk), c.g.Width(tl)
-	rest := wj * wk * wl
-
-	abig := c.alloc(p, int64(c.n)*int64(rest))
-	tileW := c.g.T * rest
-	tmp := c.alloc(p, 2*int64(tileW))
-	prefetch2(p, c.nt, func(ti int) *ga.Handle {
-		buf := sl(tmp, (ti%2)*tileW)
-		if ti >= tj {
-			return p.NbGetT(aT, buf, ti, tj, tk, tl)
-		}
-		return p.NbGetT(aT, buf, tj, ti, tk, tl)
-	}, func(ti int) {
-		if !c.exec {
-			return
-		}
-		row, _ := c.g.Bounds(ti)
-		wi := c.g.Width(ti)
-		got := tmp.Data[(ti%2)*tileW:]
-		if ti >= tj { // tile laid out (i, j, k, l): rows i, cols rest
-			copy(abig.Data[row*rest:(row+wi)*rest], got[:wi*rest])
-		} else { // tile laid out (j, i, k, l): transpose (i, j)
-			for j := 0; j < wj; j++ {
-				for i := 0; i < wi; i++ {
-					src := got[(j*wi+i)*wk*wl : (j*wi+i+1)*wk*wl]
-					dst := abig.Data[((row+i)*wj+j)*wk*wl : ((row+i)*wj+j+1)*wk*wl]
-					copy(dst, src)
-				}
-			}
-		}
-	})
-	p.FreeLocal(tmp)
-
-	bbuf := c.alloc(p, int64(c.g.T)*int64(c.n))
-	out := c.alloc(p, int64(c.g.T)*int64(rest))
-	wq := newNbQueue(p)
-	for ta := 0; ta < c.nt; ta++ {
-		wa := c.fillBRow(p, bbuf.Data, ta)
-		if c.exec {
-			zero(out.Data[:wa*rest])
-		}
-		// O1[a, (j,k,l)] = B[a, i] . A[i, (j,k,l)]
-		c.gemm(p, false, false, wa, rest, c.n, bbuf.Data, c.n, abig.Data, rest, out.Data, rest)
-		wq.push(p.NbPutT(o1T, out.Data, ta, tj, tk, tl))
-	}
-	wq.drain()
-	p.FreeLocal(out)
-	p.FreeLocal(bbuf)
-	p.FreeLocal(abig)
 }
 
 // op2Unfused computes O2[a>=b, k>=l] = sum_j O1[a, j, kl] B[b, j]. Work
@@ -221,61 +170,12 @@ func (c *runCtx) op2Unfused(p *ga.Proc, o1T, o2T *ga.TiledArray) {
 				if workOwner(p.Procs(), 2, ta, tk, tl) != p.ID() {
 					continue
 				}
-				c.op2Unit(p, o1T, o2T, ta, tk, tl)
+				c.op2(p, o1T, o2T, ta, c.g.Width(tk)*c.g.Width(tl),
+					func(tj int) (int, int, int, int) { return ta, tj, tk, tl },
+					func(tb int) (int, int, int, int) { return ta, tb, tk, tl })
 			}
 		}
 	}
-}
-
-func (c *runCtx) op2Unit(p *ga.Proc, o1T, o2T *ga.TiledArray, ta, tk, tl int) {
-	wa, wk, wl := c.g.Width(ta), c.g.Width(tk), c.g.Width(tl)
-	wkl := wk * wl
-
-	// o1big[a][j][kl] for all j.
-	o1big := c.alloc(p, int64(wa)*int64(c.n)*int64(wkl))
-	tileW := wa * c.g.T * wkl
-	tmp := c.alloc(p, 2*int64(tileW))
-	prefetch2(p, c.nt, func(tj int) *ga.Handle {
-		return p.NbGetT(o1T, sl(tmp, (tj%2)*tileW), ta, tj, tk, tl)
-	}, func(tj int) {
-		if !c.exec {
-			return
-		}
-		col, _ := c.g.Bounds(tj)
-		wj := c.g.Width(tj)
-		got := tmp.Data[(tj%2)*tileW:]
-		// tile (a, j, k, l)
-		for a := 0; a < wa; a++ {
-			src := got[a*wj*wkl : (a+1)*wj*wkl]
-			dst := o1big.Data[(a*c.n+col)*wkl : (a*c.n+col+wj)*wkl]
-			copy(dst, src)
-		}
-	})
-	p.FreeLocal(tmp)
-
-	bbuf := c.alloc(p, int64(c.g.T)*int64(c.n))
-	out := c.alloc(p, int64(wa)*int64(c.g.T)*int64(wkl))
-	wq := newNbQueue(p)
-	for tb := 0; tb <= ta; tb++ {
-		wb := c.fillBRow(p, bbuf.Data, tb)
-		if c.exec {
-			zero(out.Data[:wa*wb*wkl])
-			for a := 0; a < wa; a++ {
-				// O2[a, b, (k,l)] = B[b, j] . O1[a, j, (k,l)]
-				c.gemm(p, false, false, wb, wkl, c.n,
-					bbuf.Data, c.n,
-					sl(o1big, a*c.n*wkl), wkl,
-					sl(out, a*wb*wkl), wkl)
-			}
-		} else {
-			p.ComputeEff(int64(wa)*blas.GemmFlops(wb, wkl, c.n), c.eff)
-		}
-		wq.push(p.NbPutT(o2T, out.Data, ta, tb, tk, tl))
-	}
-	wq.drain()
-	p.FreeLocal(out)
-	p.FreeLocal(bbuf)
-	p.FreeLocal(o1big)
 }
 
 // op3Unfused computes O3[a>=b, c, l] = sum_k O2[ab, kl] B[c, k]. Work
@@ -287,74 +187,12 @@ func (c *runCtx) op3Unfused(p *ga.Proc, o2T, o3T *ga.TiledArray) {
 				if workOwner(p.Procs(), 3, ta, tb, tl) != p.ID() {
 					continue
 				}
-				c.op3Unit(p, o2T, o3T, ta, tb, tl)
+				c.op3(p, o2T, o3T, c.g.Width(ta)*c.g.Width(tb), c.g.Width(tl),
+					func(tk int) (int, int, int, int) { return ta, tb, tk, tl },
+					func(tc int) (int, int, int, int) { return ta, tb, tc, tl })
 			}
 		}
 	}
-}
-
-func (c *runCtx) op3Unit(p *ga.Proc, o2T, o3T *ga.TiledArray, ta, tb, tl int) {
-	wa, wb, wl := c.g.Width(ta), c.g.Width(tb), c.g.Width(tl)
-	wab := wa * wb
-
-	// o2big[(a,b)][k][l] for all k.
-	o2big := c.alloc(p, int64(wab)*int64(c.n)*int64(wl))
-	tileW := wab * c.g.T * wl
-	tmp := c.alloc(p, 2*int64(tileW))
-	prefetch2(p, c.nt, func(tk int) *ga.Handle {
-		buf := sl(tmp, (tk%2)*tileW)
-		if tk >= tl {
-			return p.NbGetT(o2T, buf, ta, tb, tk, tl)
-		}
-		return p.NbGetT(o2T, buf, ta, tb, tl, tk)
-	}, func(tk int) {
-		if !c.exec {
-			return
-		}
-		row, _ := c.g.Bounds(tk)
-		wk := c.g.Width(tk)
-		got := tmp.Data[(tk%2)*tileW:]
-		if tk >= tl { // tile (a, b, k, l)
-			for ab := 0; ab < wab; ab++ {
-				src := got[ab*wk*wl : (ab+1)*wk*wl]
-				dst := o2big.Data[(ab*c.n+row)*wl : (ab*c.n+row+wk)*wl]
-				copy(dst, src)
-			}
-		} else { // tile (a, b, l, k): transpose (k, l)
-			for ab := 0; ab < wab; ab++ {
-				for l := 0; l < wl; l++ {
-					for k := 0; k < wk; k++ {
-						o2big.Data[(ab*c.n+row+k)*wl+l] = got[(ab*wl+l)*wk+k]
-					}
-				}
-			}
-		}
-	})
-	p.FreeLocal(tmp)
-
-	bbuf := c.alloc(p, int64(c.g.T)*int64(c.n))
-	out := c.alloc(p, int64(wab)*int64(c.g.T)*int64(wl))
-	wq := newNbQueue(p)
-	for tc := 0; tc < c.nt; tc++ {
-		wc := c.fillBRow(p, bbuf.Data, tc)
-		if c.exec {
-			zero(out.Data[:wab*wc*wl])
-			for ab := 0; ab < wab; ab++ {
-				// O3[ab, c, l] = B[c, k] . O2[ab, k, l]
-				c.gemm(p, false, false, wc, wl, c.n,
-					bbuf.Data, c.n,
-					sl(o2big, ab*c.n*wl), wl,
-					sl(out, ab*wc*wl), wl)
-			}
-		} else {
-			p.ComputeEff(int64(wab)*blas.GemmFlops(wc, wl, c.n), c.eff)
-		}
-		wq.push(p.NbPutT(o3T, out.Data, ta, tb, tc, tl))
-	}
-	wq.drain()
-	p.FreeLocal(out)
-	p.FreeLocal(bbuf)
-	p.FreeLocal(o2big)
 }
 
 // op4Unfused computes C[a>=b, c>=d] = sum_l O3[ab, c, l] B[d, l]. Work
@@ -370,6 +208,8 @@ func (c *runCtx) op4Unfused(p *ga.Proc, o3T, cT *ga.TiledArray) {
 	}
 }
 
+// op4Unit produces the stored C[(ta, tb), tc, td<=tc] tiles of one
+// (ta, tb) unit from the full O3.
 func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int) {
 	wa, wb := c.g.Width(ta), c.g.Width(tb)
 	wab := wa * wb
@@ -381,8 +221,8 @@ func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int) {
 	// GEMM operands carry exactly the values the full plane held.
 	stripW := wab * c.g.T * c.n
 	tileW := wab * c.g.T * c.g.T
-	o3s := c.alloc(p, 2*int64(stripW))
-	tmp := c.alloc(p, 2*int64(c.nt)*int64(tileW))
+	o3s := p.MustAllocLocal(2 * int64(stripW))
+	tmp := p.MustAllocLocal(2 * int64(c.nt) * int64(tileW))
 
 	issueStrip := func(tc int) []*ga.Handle {
 		hs := make([]*ga.Handle, c.nt)
@@ -415,19 +255,15 @@ func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int) {
 	}
 	hs := issueStrip(0)
 
-	// Full coefficient matrix rows for the d index; generating them here
-	// overlaps strip 0's in-flight gets.
-	ball := c.alloc(p, int64(c.n)*int64(c.n))
+	// Full coefficient matrix rows for the d index, one tile at a time;
+	// generating them here overlaps strip 0's in-flight gets.
+	ball := p.MustAllocLocal(int64(c.n) * int64(c.n))
 	for td := 0; td < c.nt; td++ {
 		d0, _ := c.g.Bounds(td)
-		if c.exec {
-			c.fillBRow(p, ball.Data[d0*c.n:], td)
-		} else {
-			c.fillBRow(p, nil, td)
-		}
+		c.fillBRow(p, sl(ball, d0*c.n), td)
 	}
 
-	out := c.alloc(p, int64(wab)*int64(c.g.T)*int64(c.g.T))
+	out := p.MustAllocLocal(int64(wab) * int64(c.g.T) * int64(c.g.T))
 	wq := newNbQueue(p)
 	for tc := 0; tc < c.nt; tc++ {
 		var next []*ga.Handle
@@ -436,37 +272,13 @@ func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int) {
 		}
 		landStrip(tc, hs)
 		hs = next
-		wc := c.g.Width(tc)
-		for td := 0; td <= tc; td++ {
-			if !cT.Stored(ta, tb, tc, td) {
-				continue // spatial symmetry forbids this block
-			}
-			d0, _ := c.g.Bounds(td)
-			wd := c.g.Width(td)
-			if c.exec {
-				zero(out.Data[:wab*wc*wd])
-				for ab := 0; ab < wab; ab++ {
-					// C[ab, c, d] = O3[ab, c, l] . B[d, l]^T
-					c.gemm(p, false, true, wc, wd, c.n,
-						sl(o3s, (tc%2)*stripW+ab*wc*c.n), c.n,
-						sl(ball, d0*c.n), c.n,
-						sl(out, ab*wc*wd), wd)
-				}
-			} else {
-				p.ComputeEff(int64(wab)*blas.GemmFlops(wc, wd, c.n), c.eff)
-			}
-			wq.push(p.NbPutT(cT, out.Data, ta, tb, tc, td))
-		}
+		// C[ab, c, d] = O3[ab, c, l] . B[d, l]^T over the landed strip.
+		c.emitC(p, &wq, out, cT, false, ta, tb, tc,
+			sl(o3s, (tc%2)*stripW), c.g.Width(tc)*c.n, c.n, ball.Data)
 	}
 	wq.drain()
 	p.FreeLocal(out)
 	p.FreeLocal(ball)
 	p.FreeLocal(tmp)
 	p.FreeLocal(o3s)
-}
-
-func zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
 }
