@@ -43,9 +43,13 @@ vet:
 # schedule's fingerprint (event stream, C bits, counters, simulated
 # clocks); regenerate with `go test ./internal/trace -update` or
 # `go test ./internal/fourindex -run TestScheduleFingerprints -update`
-# after an intentional schedule or cost-model change.
+# after an intentional schedule or cost-model change. The C bits rest on
+# Dgemm's accumulation order, which the two blas tests pin against a
+# plain loop, along with an allocation-free kernel at the schedules'
+# GEMM shapes.
 golden:
 	$(GO) test -count=1 -run 'TestChromeTraceGolden' ./internal/trace/
+	$(GO) test -count=1 -run 'TestDgemmBitwiseAccumulationOrder|TestDgemmSerialNoAllocs' ./internal/blas/
 	$(GO) test -count=1 -run 'TestScheduleFingerprints' ./internal/fourindex/
 
 # chains-golden pins the generalized bound engine to the hand-derived

@@ -2,6 +2,14 @@
 // transform schedules are built from: a cache-blocked, goroutine-parallel
 // double-precision GEMM plus the level-1 kernels (axpy, dot, scal, ger).
 //
+// Dgemm's inner kernel keeps a 2x4 block of C in registers and streams A
+// and B through it, reading either operand or its transpose in place, so
+// no call packs a panel or allocates. Its result is bitwise fixed: each C
+// element is beta-scaled first (beta 0 stores +0), then takes the terms
+// (alpha*a_ik)*b_kj for k ascending, skipping any term whose alpha*a_ik
+// is zero. Block sizes, tails and the worker split never change a bit;
+// the schedules' C-bit goldens rely on that order.
+//
 // All matrices are row-major with an explicit leading dimension (row
 // stride), following the conventions of CBLAS with CblasRowMajor. Only
 // the operations the transform needs are implemented; this is a substrate
@@ -14,8 +22,9 @@ import (
 	"sync"
 )
 
-// Tuning parameters for the blocked GEMM kernel. These are modest values
-// chosen for typical L1/L2 sizes; correctness never depends on them.
+// Tuning parameters for the blocked GEMM driver. These are modest values
+// chosen for typical L1/L2 sizes; neither correctness nor a single bit of
+// C depends on them.
 const (
 	blockM = 64
 	blockN = 256
@@ -145,101 +154,111 @@ func parallelGemm(workers int, transA, transB bool, m, n, k int, alpha float64, 
 }
 
 // gemmBlocked accumulates alpha*op(A)*op(B) into C for C-rows [i0, i1).
+// It reads A, B and their transposes in place through a row and a
+// column stride. The cache blocks only decide when a C element's partial
+// sum goes back to memory, never the order of its k terms.
 func gemmBlocked(transA, transB bool, i0, i1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	// Element (i, p) of op(A) is a[i*ars+p*acs]; element (p, j) of
+	// op(B) is b[p*brs+j*bcs].
+	ars, acs := lda, 1
+	if transA {
+		ars, acs = 1, lda
+	}
+	brs, bcs := ldb, 1
 	if transB {
-		gemmBlockedTransB(transA, i0, i1, n, k, alpha, a, lda, b, ldb, c, ldc)
-		return
+		brs, bcs = 1, ldb
 	}
 	for ib := i0; ib < i1; ib += blockM {
 		iMax := min(ib+blockM, i1)
 		for kb := 0; kb < k; kb += blockK {
-			kMax := min(kb+blockK, k)
+			kc := min(kb+blockK, k) - kb
 			for jb := 0; jb < n; jb += blockN {
 				jMax := min(jb+blockN, n)
-				gemmKernel(transA, ib, iMax, jb, jMax, kb, kMax, alpha, a, lda, b, ldb, c, ldc)
-			}
-		}
-	}
-}
-
-// gemmBlockedTransB handles op(B) = B^T by packing each (kb, jb) panel
-// of B^T into a contiguous [kk][j] scratch buffer once, then reusing it
-// for every row block of C. The naive kernel's b[j*ldb+kk] walk strides
-// by ldb on every inner-loop step, defeating the blockN tiling; the
-// packed panel restores the contiguous inner loop of the untransposed
-// case at the cost of reading each B block once per (kb, jb) instead of
-// once per (ib, kb, jb). Accumulation order per C element is unchanged
-// (kb ascending, kk ascending within each block), so results are
-// bitwise identical to the unpacked kernel.
-func gemmBlockedTransB(transA bool, i0, i1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	panel := make([]float64, min(blockK, k)*min(blockN, n))
-	for kb := 0; kb < k; kb += blockK {
-		kMax := min(kb+blockK, k)
-		for jb := 0; jb < n; jb += blockN {
-			jMax := min(jb+blockN, n)
-			w := jMax - jb
-			for kk := kb; kk < kMax; kk++ {
-				dst := panel[(kk-kb)*w : (kk-kb+1)*w]
-				for j := jb; j < jMax; j++ {
-					dst[j-jb] = b[j*ldb+kk]
+				for i := ib; i < iMax; i += 2 {
+					rows := min(2, iMax-i)
+					ap := i*ars + kb*acs
+					j := jb
+					for ; j+4 <= jMax; j += 4 {
+						bp, cp := kb*brs+j*bcs, i*ldc+j
+						if rows == 2 {
+							kernel2x4(kc, alpha, a, ap, ars, acs, b, bp, brs, bcs, c, cp, ldc)
+						} else {
+							kernel1x4(kc, alpha, a, ap, acs, b, bp, brs, bcs, c, cp)
+						}
+					}
+					for ; j < jMax; j++ {
+						for r := 0; r < rows; r++ {
+							kernel1x1(kc, alpha, a, ap+r*ars, acs, b, kb*brs+j*bcs, brs, c, (i+r)*ldc+j)
+						}
+					}
 				}
 			}
-			for ib := i0; ib < i1; ib += blockM {
-				iMax := min(ib+blockM, i1)
-				gemmPanelKernel(transA, ib, iMax, jb, jMax, kb, kMax, alpha, a, lda, panel, w, c, ldc)
-			}
 		}
 	}
 }
 
-// gemmPanelKernel is gemmKernel against a packed [kk-k0][j-j0] panel of
-// width w (the B operand addressed block-relative instead of through
-// the full matrix).
-func gemmPanelKernel(transA bool, i0, i1, j0, j1, k0, k1 int, alpha float64, a []float64, lda int, panel []float64, w int, c []float64, ldc int) {
-	for i := i0; i < i1; i++ {
-		crow := c[i*ldc+j0 : i*ldc+j1]
-		for kk := k0; kk < k1; kk++ {
-			var av float64
-			if transA {
-				av = a[kk*lda+i]
-			} else {
-				av = a[i*lda+kk]
-			}
-			av *= alpha
-			if av == 0 {
-				continue
-			}
-			brow := panel[(kk-k0)*w : (kk-k0)*w+(j1-j0)]
-			for j := range brow {
-				crow[j] += av * brow[j]
-			}
+// The kernels below add kc terms to a register block of C, term p being
+// (alpha*a_ip)*b_pj with a_ip = a[ap+p*acs] and b_pj = b[bp+p*brs+j*bcs]
+// for the block's rows and columns. A term whose alpha*a_ip is zero is
+// skipped, so a zero never turns a -0 into +0 or an Inf in B into NaN.
+
+// kernel2x4 updates the 2x4 block of C at c[cp], rows ldc apart; row 1
+// of A starts ars after row 0.
+func kernel2x4(kc int, alpha float64, a []float64, ap, ars, acs int, b []float64, bp, brs, bcs int, c []float64, cp, ldc int) {
+	r0 := c[cp : cp+4 : cp+4]
+	r1 := c[cp+ldc : cp+ldc+4 : cp+ldc+4]
+	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
+	c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
+	for p := 0; p < kc; p++ {
+		a0, a1 := alpha*a[ap], alpha*a[ap+ars]
+		b0, b1, b2, b3 := b[bp], b[bp+bcs], b[bp+2*bcs], b[bp+3*bcs]
+		if a0 != 0 {
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c02 += a0 * b2
+			c03 += a0 * b3
 		}
+		if a1 != 0 {
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c12 += a1 * b2
+			c13 += a1 * b3
+		}
+		ap += acs
+		bp += brs
 	}
+	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+	r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
 }
 
-// gemmKernel is the innermost i-k-j loop over one (i, j, k) block of the
-// untransposed-B case: the j loop runs over contiguous rows of B,
-// accumulating into a contiguous row of C.
-func gemmKernel(transA bool, i0, i1, j0, j1, k0, k1 int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := i0; i < i1; i++ {
-		crow := c[i*ldc+j0 : i*ldc+j1]
-		for kk := k0; kk < k1; kk++ {
-			var av float64
-			if transA {
-				av = a[kk*lda+i]
-			} else {
-				av = a[i*lda+kk]
-			}
-			av *= alpha
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*ldb+j0 : kk*ldb+j1]
-			for j := range brow {
-				crow[j] += av * brow[j]
-			}
+// kernel1x4 updates the 1x4 block of C at c[cp].
+func kernel1x4(kc int, alpha float64, a []float64, ap, acs int, b []float64, bp, brs, bcs int, c []float64, cp int) {
+	r0 := c[cp : cp+4 : cp+4]
+	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
+	for p := 0; p < kc; p++ {
+		if a0 := alpha * a[ap]; a0 != 0 {
+			c00 += a0 * b[bp]
+			c01 += a0 * b[bp+bcs]
+			c02 += a0 * b[bp+2*bcs]
+			c03 += a0 * b[bp+3*bcs]
 		}
+		ap += acs
+		bp += brs
 	}
+	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+}
+
+// kernel1x1 updates the single element c[cp].
+func kernel1x1(kc int, alpha float64, a []float64, ap, acs int, b []float64, bp, brs int, c []float64, cp int) {
+	c00 := c[cp]
+	for p := 0; p < kc; p++ {
+		if a0 := alpha * a[ap]; a0 != 0 {
+			c00 += a0 * b[bp]
+		}
+		ap += acs
+		bp += brs
+	}
+	c[cp] = c00
 }
 
 // GemmFlops returns the floating-point operation count of a GEMM with the

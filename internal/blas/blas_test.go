@@ -3,6 +3,7 @@ package blas
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +298,156 @@ func TestQuickDgemmMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// specGemm is the accumulation order Dgemm promises, written as the
+// plainest loop: each C element is beta-scaled first (beta 0 stores +0),
+// then takes (alpha*a_ik)*b_kj for k ascending, skipping every term whose
+// alpha*a_ik is zero. The C-bit goldens of the schedules rest on it.
+func specGemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			cij := c[i*ldc+j]
+			switch beta {
+			case 0:
+				cij = 0
+			case 1:
+			default:
+				cij *= beta
+			}
+			for kk := 0; kk < k; kk++ {
+				ai, bi := i*lda+kk, kk*ldb+j
+				if transA {
+					ai = kk*lda + i
+				}
+				if transB {
+					bi = j*ldb + kk
+				}
+				if av := alpha * a[ai]; av != 0 {
+					cij += av * b[bi]
+				}
+			}
+			c[i*ldc+j] = cij
+		}
+	}
+}
+
+// gemmOperands returns A, B and C for an m x n x k product with every
+// leading dimension padded by pad and A seeded with exact zeros. One
+// random row of op(A) is all zeros and the same row of C is all -0:
+// adding a zero term to -0 would make it +0, so a term that is not
+// skipped shows in the sign bit. A also holds one -0.
+func gemmOperands(rng *rand.Rand, transA, transB bool, m, n, k, pad int) (a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	lda, ldb, ldc = cols(transA, m, k)+pad, cols(transB, k, n)+pad, n+pad
+	a = randomSlice(rng, rows(transA, m, k)*lda)
+	b = randomSlice(rng, rows(transB, k, n)*ldb)
+	c = randomSlice(rng, m*ldc)
+	for i := 0; i < len(a); i += 3 {
+		a[i] = 0
+	}
+	negZero := math.Copysign(0, -1)
+	z := rng.Intn(m)
+	for kk := 0; kk < k; kk++ {
+		if transA {
+			a[kk*lda+z] = 0
+		} else {
+			a[z*lda+kk] = 0
+		}
+	}
+	a[rows(transA, m, k)*lda-pad-1] = negZero
+	for j := 0; j < n; j++ {
+		c[z*ldc+j] = negZero
+	}
+	return a, lda, b, ldb, c, ldc
+}
+
+// firstBitDiff reports the first index at which got and want differ in any
+// bit, or -1.
+func firstBitDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestDgemmBitwiseAccumulationOrder pins Dgemm to specGemm bit for bit:
+// every register-block tail (m, n in 1..9), k across the cache-block
+// edges, padded leading dimensions, all four transpose combinations, each
+// beta class, and one shape split across two workers.
+func TestDgemmBitwiseAccumulationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const alpha = -1.3
+	ks := []int{0, 1, 2, 3, 5, blockK - 1, blockK, blockK + 1, 2*blockK + 3}
+	for _, ta := range []bool{false, true} {
+		for _, tb := range []bool{false, true} {
+			for m := 1; m <= 9; m++ {
+				for n := 1; n <= 9; n++ {
+					for _, k := range ks {
+						if k == 0 && (m > 1 || n > 1) {
+							continue
+						}
+						a, lda, b, ldb, c0, ldc := gemmOperands(rng, ta, tb, m, n, max(k, 1), 2)
+						for _, beta := range []float64{0, 1, 0.7} {
+							got := append([]float64(nil), c0...)
+							want := append([]float64(nil), c0...)
+							Dgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, got, ldc)
+							specGemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+							if i := firstBitDiff(got, want); i >= 0 {
+								t.Fatalf("transA=%v transB=%v m=%d n=%d k=%d beta=%v: C[%d] = %v, want %v",
+									ta, tb, m, n, k, beta, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	defer SetWorkers(runtime.NumCPU())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	SetWorkers(2)
+	m, n, k := 41, 411, 2*blockK+3
+	if m*n*k < parallelThreshold {
+		t.Fatalf("%dx%dx%d is below parallelThreshold", m, n, k)
+	}
+	for _, ta := range []bool{false, true} {
+		for _, tb := range []bool{false, true} {
+			a, lda, b, ldb, c0, ldc := gemmOperands(rng, ta, tb, m, n, k, 1)
+			got := append([]float64(nil), c0...)
+			want := append([]float64(nil), c0...)
+			Dgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, 0.7, got, ldc)
+			specGemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, 0.7, want, ldc)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("2 workers, transA=%v transB=%v: C[%d] = %v, want %v", ta, tb, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDgemmSerialNoAllocs checks that Dgemm allocates nothing at the
+// contraction shapes the schedules issue: op1 at n=56, op4 (B transposed)
+// at n=56, and the 4-wide op4 tiles of the fused schedules at n=48.
+func TestDgemmSerialNoAllocs(t *testing.T) {
+	for _, sh := range []struct {
+		m, n, k int
+		transB  bool
+	}{{9, 729, 56, false}, {9, 9, 56, true}, {4, 4, 48, true}} {
+		ldb := sh.n
+		if sh.transB {
+			ldb = sh.k
+		}
+		a := make([]float64, sh.m*sh.k)
+		b := make([]float64, sh.k*sh.n)
+		c := make([]float64, sh.m*sh.n)
+		allocs := testing.AllocsPerRun(10, func() {
+			Dgemm(false, sh.transB, sh.m, sh.n, sh.k, 1, a, sh.k, b, ldb, 1, c, sh.n)
+		})
+		if allocs != 0 {
+			t.Errorf("%dx%dx%d transB=%v: %v allocations per call, want 0", sh.m, sh.n, sh.k, sh.transB, allocs)
+		}
 	}
 }
 

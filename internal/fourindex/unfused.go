@@ -198,19 +198,22 @@ func (c *runCtx) op3Unfused(p *ga.Proc, o2T, o3T *ga.TiledArray) {
 // op4Unfused computes C[a>=b, c>=d] = sum_l O3[ab, c, l] B[d, l]. Work
 // units are (ta, tb); the owner produces all c >= d tiles.
 func (c *runCtx) op4Unfused(p *ga.Proc, o3T, cT *ga.TiledArray) {
+	// The handles of two c strips, reused by every unit.
+	hs := make([]*ga.Handle, 2*c.nt)
 	for ta := 0; ta < c.nt; ta++ {
 		for tb := 0; tb <= ta; tb++ {
 			if workOwner(p.Procs(), 4, ta, tb) != p.ID() {
 				continue
 			}
-			c.op4Unit(p, o3T, cT, ta, tb)
+			c.op4Unit(p, o3T, cT, ta, tb, hs)
 		}
 	}
 }
 
 // op4Unit produces the stored C[(ta, tb), tc, td<=tc] tiles of one
-// (ta, tb) unit from the full O3.
-func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int) {
+// (ta, tb) unit from the full O3. strips holds 2*nt handles: strip tc's
+// gets go in half tc%2.
+func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int, strips []*ga.Handle) {
 	wa, wb := c.g.Width(ta), c.g.Width(tb)
 	wab := wa * wb
 
@@ -225,7 +228,7 @@ func (c *runCtx) op4Unit(p *ga.Proc, o3T, cT *ga.TiledArray, ta, tb int) {
 	tmp := p.MustAllocLocal(2 * int64(c.nt) * int64(tileW))
 
 	issueStrip := func(tc int) []*ga.Handle {
-		hs := make([]*ga.Handle, c.nt)
+		hs := strips[(tc%2)*c.nt : (tc%2+1)*c.nt]
 		base := (tc % 2) * c.nt * tileW
 		for tl := 0; tl < c.nt; tl++ {
 			hs[tl] = p.NbGetT(o3T, sl(tmp, base+tl*tileW), ta, tb, tc, tl)

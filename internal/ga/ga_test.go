@@ -286,6 +286,17 @@ func TestStrictReadBeforeWrite(t *testing.T) {
 	if err == nil {
 		t.Fatal("strict mode should reject Get of never-written tile")
 	}
+	if want := `ga: process 0 panicked: ga: strict: GetT of never-written tile [0 0] of "A"`; err.Error() != want {
+		t.Errorf("GetT error = %q, want %q", err, want)
+	}
+	ov, _ := NewRuntime(Config{Procs: 1, Mode: Execute, Strict: true, Overlap: true})
+	b, _ := ov.CreateTiled("B", grids(4, 2, 2), nil, tile.RoundRobin)
+	err = ov.Parallel(func(p *Proc) {
+		p.NbGetT(b, make([]float64, 4), 1, 0).Wait(p)
+	})
+	if want := `ga: process 0 panicked: ga: strict: NbGetT of never-written tile [1 0] of "B"`; err == nil || err.Error() != want {
+		t.Errorf("NbGetT error = %v, want %q", err, want)
+	}
 	err = rt.Parallel(func(p *Proc) {
 		buf := []float64{1, 2, 3, 4}
 		p.PutT(a, buf, 0, 0)

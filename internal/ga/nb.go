@@ -150,7 +150,9 @@ func (p *Proc) NbGetT(a *TiledArray, buf []float64, coords ...int) *Handle {
 		return degraded
 	}
 	if a.written != nil && !a.written[id].Load() {
-		panic(fmt.Sprintf("ga: strict: NbGetT of never-written tile %v of %q", coords, a.Name))
+		// Format a copy: formatting coords itself would make every
+		// caller's coordinate slice escape to the heap.
+		panic(fmt.Sprintf("ga: strict: NbGetT of never-written tile %v of %q", append([]int(nil), coords...), a.Name))
 	}
 	h := &Handle{op: nbGet, name: a.Name, proc: p.id, words: int64(words)}
 	h.remote = p.nbIssue(h, a, id, true)

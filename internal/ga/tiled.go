@@ -415,7 +415,9 @@ func (p *Proc) GetT(a *TiledArray, buf []float64, coords ...int) int {
 		return words
 	}
 	if a.written != nil && !a.written[id].Load() {
-		panic(fmt.Sprintf("ga: strict: GetT of never-written tile %v of %q", coords, a.Name))
+		// Format a copy: formatting coords itself would make every
+		// caller's coordinate slice escape to the heap.
+		panic(fmt.Sprintf("ga: strict: GetT of never-written tile %v of %q", append([]int(nil), coords...), a.Name))
 	}
 	p.faultPoint("Get", a.Name)
 	start := p.Clock()

@@ -8,23 +8,22 @@ import (
 )
 
 // GemmTransBResult reports the transposed-B GEMM microbenchmark:
-// C += A*B with B stored untransposed (the contiguous baseline) versus
-// C += A*B^T through the panel-packing path gemmBlocked dispatches to.
-// Both products perform identical flop counts, so the ratio isolates
-// the cost of the transposed operand layout; before panel packing the
-// B^T walk strided by the leading dimension on every inner-loop step
-// and this ratio sat far above 1. Wall-clock quantities; Measure only.
+// C = A*B with B stored untransposed versus C = A*B^T with B stored as
+// its transpose. Both products perform identical flop counts and run
+// through the same register-blocked kernel, which reads either layout in
+// place, so the ratio isolates the cost of walking B^T by its leading
+// dimension. Wall-clock quantities; Measure only.
 type GemmTransBResult struct {
 	// M, N, K are the product dimensions (op(A) is M x K, op(B) K x N).
 	M int `json:"m"`
 	N int `json:"n"`
 	K int `json:"k"`
 	// NoTransSeconds is the best time of the untransposed-B product;
-	// TransBSeconds the best time of the B^T (packed-panel) product.
+	// TransBSeconds the best time of the B^T product.
 	NoTransSeconds float64 `json:"noTransSeconds"`
 	TransBSeconds  float64 `json:"transBSeconds"`
-	// Ratio is TransBSeconds / NoTransSeconds (1.0 = packing fully
-	// recovers the contiguous inner loop).
+	// Ratio is TransBSeconds / NoTransSeconds (1.0 = the B^T layout
+	// costs nothing extra).
 	Ratio float64 `json:"ratio"`
 }
 
@@ -32,8 +31,8 @@ type GemmTransBResult struct {
 const gemmBenchTrials = 3
 
 // BenchGemmTransB times Dgemm with transB off and on at the given
-// dimensions. The matrices are filled deterministically; only timings
-// leave the function.
+// dimensions, each the best of gemmBenchTrials calls. The matrices are
+// filled deterministically; only timings leave the function.
 func BenchGemmTransB(m, n, k int) GemmTransBResult {
 	a := make([]float64, m*k)
 	b := make([]float64, k*n) // also read as the n x k matrix whose transpose is k x n
