@@ -21,9 +21,11 @@ race:
 	$(GO) test -race ./internal/ga/... ./internal/fourindex/... ./internal/serve/...
 	$(GO) test -race -count=5 -run 'TestStress' ./internal/ga/
 
-# lint runs the project's own analyzer suite (see internal/analysis).
+# lint runs the project's own analyzer suite (see internal/analysis)
+# and fails when gofmt would reformat any Go file.
 lint:
 	$(GO) run ./cmd/fouridxlint ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # lint-self points the linter at its own analysis layer: the checkers
 # must satisfy the disciplines they enforce (deterministic diagnostics,
@@ -46,11 +48,13 @@ vet:
 # after an intentional schedule or cost-model change. The C bits rest on
 # Dgemm's accumulation order, which the two blas tests pin against a
 # plain loop, along with an allocation-free kernel at the schedules'
-# GEMM shapes.
+# GEMM shapes. TestCostModeAllocsPerOp pins that cost-mode ga verbs
+# allocate no heap object per operation.
 golden:
 	$(GO) test -count=1 -run 'TestChromeTraceGolden' ./internal/trace/
 	$(GO) test -count=1 -run 'TestDgemmBitwiseAccumulationOrder|TestDgemmSerialNoAllocs' ./internal/blas/
 	$(GO) test -count=1 -run 'TestScheduleFingerprints' ./internal/fourindex/
+	$(GO) test -count=1 -run 'TestCostModeAllocsPerOp' ./internal/ga/
 
 # chains-golden pins the generalized bound engine to the hand-derived
 # four-index closed forms bit-for-bit (thresholds, per-op bounds,

@@ -142,50 +142,50 @@ func (m Machine) Configure(ranks, ranksPerNode int) (Run, error) {
 }
 
 // FlopsPerSecPerRank returns the sustained flop rate attributed to one rank.
-func (r Run) FlopsPerSecPerRank() float64 {
+func (r *Run) FlopsPerSecPerRank() float64 {
 	return float64(r.CoresPerRank) * r.Machine.GHz * 1e9 * r.Machine.FlopsPerCycle
 }
 
 // NetBytesPerSecPerRank returns the network bandwidth share of one rank.
-func (r Run) NetBytesPerSecPerRank() float64 {
+func (r *Run) NetBytesPerSecPerRank() float64 {
 	return r.Machine.NetBytesPerSec / float64(r.RanksPerNode)
 }
 
 // MemBytesPerSecPerRank returns the local-memory bandwidth share of one rank.
-func (r Run) MemBytesPerSecPerRank() float64 {
+func (r *Run) MemBytesPerSecPerRank() float64 {
 	return r.Machine.MemBytesPerSec / float64(r.RanksPerNode)
 }
 
 // MemBytesPerRank returns the physical memory share of one rank.
-func (r Run) MemBytesPerRank() int64 {
+func (r *Run) MemBytesPerRank() int64 {
 	return r.Machine.MemPerNodeBytes / int64(r.RanksPerNode)
 }
 
 // AggregateMemBytes returns the aggregate physical memory of the nodes
 // this run occupies — the "fast memory" of the disk<->global level.
-func (r Run) AggregateMemBytes() int64 {
+func (r *Run) AggregateMemBytes() int64 {
 	return int64(r.NodesUsed) * r.Machine.MemPerNodeBytes
 }
 
 // ComputeSeconds returns the time one rank needs for the given flops.
-func (r Run) ComputeSeconds(flops int64) float64 {
+func (r *Run) ComputeSeconds(flops int64) float64 {
 	return float64(flops) / r.FlopsPerSecPerRank()
 }
 
 // RemoteSeconds returns the time for one remote transfer of the given bytes.
-func (r Run) RemoteSeconds(bytes int64) float64 {
+func (r *Run) RemoteSeconds(bytes int64) float64 {
 	return r.Machine.NetLatencySec + float64(bytes)/r.NetBytesPerSecPerRank()
 }
 
 // LocalSeconds returns the time for one local-memory transfer.
-func (r Run) LocalSeconds(bytes int64) float64 {
+func (r *Run) LocalSeconds(bytes int64) float64 {
 	return float64(bytes) / r.MemBytesPerSecPerRank()
 }
 
 // DiskSeconds returns the time for one file-system transfer. The
 // collective file-system bandwidth is shared across all ranks of the
 // run, which is what makes spilling so costly at scale.
-func (r Run) DiskSeconds(bytes int64) float64 {
+func (r *Run) DiskSeconds(bytes int64) float64 {
 	per := r.Machine.DiskBytesPerSec / float64(r.Ranks)
 	return 1e-3 + float64(bytes)/per // ~1 ms per I/O operation
 }

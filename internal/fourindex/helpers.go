@@ -102,29 +102,25 @@ func (c *runCtx) fillBRow(p *ga.Proc, buf []float64, ta int) (wa int) {
 
 // generateA fills a distributed A tensor (dims i,j,k,l; symmetric pairs
 // (0,1) and (2,3); the l dimension may be a slab grid) with on-the-fly
-// integrals: each process fills and Puts the tiles it owns. lOff shifts
-// the l tile indices into absolute orbital indices (used by per-slab A
-// tensors whose l grid covers [lOff, lOff+wl)). The generated tensor is
-// frozen: every schedule only reads A after generation, so subsequent
-// GetT traffic takes the lock-free read path.
+// integrals: each process fills and Puts the tiles it owns, visiting
+// only those. lOff shifts the l tile indices into absolute orbital
+// indices (used by per-slab A tensors whose l grid covers
+// [lOff, lOff+wl)). The generated tensor is frozen: every schedule only
+// reads A after generation, so subsequent GetT traffic takes the
+// lock-free read path.
 func (c *runCtx) generateA(aT *ga.TiledArray, lOff int) error {
 	err := c.rt.Parallel(func(p *ga.Proc) {
-		var coordsCopy [4]int
 		wq := newNbQueue(p)
-		aT.ForEachTile(func(coords []int) {
-			copy(coordsCopy[:], coords)
-			if aT.Owner(coordsCopy[:]...) != p.ID() {
-				return
-			}
-			words := int64(aT.TileWords(coordsCopy[:]))
+		aT.ForEachOwnedTile(p.ID(), func(coords []int) {
+			words := int64(aT.TileWords(coords))
 			buf := p.MustAllocLocal(words)
 			p.Compute(integralFlops * words)
 			if c.exec {
-				c.fillATile(aT, buf.Data, coordsCopy[:], lOff)
+				c.fillATile(aT, buf.Data, coords, lOff)
 			}
 			// NbPutT stages the payload at issue, so buf is free to go
 			// while the write is still in flight.
-			wq.push(p.NbPutT(aT, buf.Data, coordsCopy[:]...))
+			wq.push(p.NbPutT(aT, buf.Data, coords...))
 			p.FreeLocal(buf)
 		})
 		wq.drain()
@@ -141,22 +137,17 @@ func (c *runCtx) generateA(aT *ga.TiledArray, lOff int) error {
 // Like generateA it freezes the generated tensors.
 func (c *runCtx) generateABatch(aTs []*ga.TiledArray, lOffs []int) error {
 	err := c.rt.Parallel(func(p *ga.Proc) {
-		var coordsCopy [4]int
 		wq := newNbQueue(p)
 		for i, aT := range aTs {
 			lOff := lOffs[i]
-			aT.ForEachTile(func(coords []int) {
-				copy(coordsCopy[:], coords)
-				if aT.Owner(coordsCopy[:]...) != p.ID() {
-					return
-				}
-				words := int64(aT.TileWords(coordsCopy[:]))
+			aT.ForEachOwnedTile(p.ID(), func(coords []int) {
+				words := int64(aT.TileWords(coords))
 				buf := p.MustAllocLocal(words)
 				p.Compute(integralFlops * words)
 				if c.exec {
-					c.fillATile(aT, buf.Data, coordsCopy[:], lOff)
+					c.fillATile(aT, buf.Data, coords, lOff)
 				}
-				wq.push(p.NbPutT(aT, buf.Data, coordsCopy[:]...))
+				wq.push(p.NbPutT(aT, buf.Data, coords...))
 				p.FreeLocal(buf)
 			})
 		}

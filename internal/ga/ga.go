@@ -163,6 +163,12 @@ type Runtime struct {
 	commExposed    []float64
 	commOverlapped []float64
 
+	// arenas holds each process's handle and buffer-lifetime records
+	// (see procArena), indexed by process id with a single writer like
+	// clocks. They live as long as the runtime, so a chunk's unused
+	// entries carry over from one region to the next.
+	arenas []procArena
+
 	// bufPools recycles Execute-mode local staging buffers, bucketed by
 	// power-of-two capacity: the schedules allocate and free the same
 	// tile-sized Get/Put/Acc buffers once per work unit, and without
@@ -173,6 +179,47 @@ type Runtime struct {
 	// allocate a fresh 3-word box per recycle.
 	bufPools [poolBuckets]sync.Pool
 	boxPool  sync.Pool
+}
+
+// procArena is one process's source of Handle and bufState records,
+// the only heap objects a simulated operation would otherwise make.
+type procArena struct {
+	handles arena[Handle]
+	bufs    arena[bufState]
+}
+
+// arenaMinChunk and arenaMaxChunk bound the chunk sizes an arena grows
+// through by doubling: a process that issues few operations (a run can
+// simulate thousands of processes) keeps small chunks, and one that
+// issues many allocates once per arenaMaxChunk records. A full chunk of
+// handles (96 B each) stays below the allocator's 32 KB large-object
+// threshold: 1024-record chunks, allocated as large objects, raised the
+// serve-cost benchmark's peak RSS by 1 MB on a 2-core VM.
+const (
+	arenaMinChunk = 16
+	arenaMaxChunk = 256
+)
+
+// arena hands out pointers to zeroed records carved from chunks, one
+// heap allocation per chunk instead of one per record. A record is never
+// reused: a stale pointer still sees its own state, so the waited-twice,
+// wrong-process and BufferFreeError checks fire exactly as they would on
+// a freshly allocated record, and the garbage collector frees a chunk
+// once nothing points into it.
+type arena[T any] struct {
+	free  []T
+	chunk int // size of the last chunk allocated
+}
+
+// next returns a fresh zeroed record.
+func (a *arena[T]) next() *T {
+	if len(a.free) == 0 {
+		a.chunk = min(max(2*a.chunk, arenaMinChunk), arenaMaxChunk)
+		a.free = make([]T, a.chunk)
+	}
+	r := &a.free[0]
+	a.free = a.free[1:]
+	return r
 }
 
 // poolBuckets bounds the buffer-pool size classes: bucket b holds
@@ -199,6 +246,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		nbOutstanding:  make([]int, cfg.Procs),
 		commExposed:    make([]float64, cfg.Procs),
 		commOverlapped: make([]float64, cfg.Procs),
+		arenas:         make([]procArena, cfg.Procs),
 		barrier:        newClockBarrier(cfg.Procs),
 	}
 	for i := range rt.counters {
@@ -508,7 +556,9 @@ func (p *Proc) AllocLocal(words int64) (Buffer, error) {
 			ErrLocalOOM, p.id, words*8, lim, c.Current()*8)
 	}
 	c.Alloc(words)
-	b := Buffer{words: words, state: &bufState{owner: p.id}}
+	st := p.rt.arenas[p.id].bufs.next()
+	st.owner = p.id
+	b := Buffer{words: words, state: st}
 	if p.rt.cfg.Mode == Execute && words > 0 {
 		b.Data = p.rt.getPooled(words)
 	}

@@ -43,6 +43,12 @@ import (
 // owned by the handle until Wait, so a pooled buffer is never reused
 // while a transfer is in flight.
 //
+// Handles. Each handle is a record taken from the issuing process's
+// arena on the Runtime (see arena in ga.go), so issuing costs no heap
+// allocation per operation. Records are never reused: a handle stays
+// the distinct, permanent record of its one transfer, which is what lets
+// Wait detect a second wait or a wait from the wrong process.
+//
 // Fault injection fires at Wait, not issue: Waits occur in per-process
 // program order, so the (proc, seq) stream a fault plan keys on is
 // deterministic and seeded chaos plans replay identically with overlap
@@ -91,13 +97,20 @@ func (o nbOp) issueKind() trace.Kind {
 // Handle is the typed completion handle of one nonblocking transfer.
 // It must reach Wait (or WaitAll) on the issuing process before the
 // enclosing Parallel region ends — region exit checks and the
-// nbdiscipline analyzer enforces the pairing statically.
+// nbdiscipline analyzer enforces the pairing statically. Handles come
+// from the issuing process's arena on the Runtime and are never reused,
+// so a handle outlives its Wait with its state intact, and waiting it
+// again panics however many handles were issued since.
 type Handle struct {
-	op    nbOp
-	name  string
-	proc  int
-	words int64
+	op     nbOp
 	remote bool
+	// noop marks degraded (overlap-off) and sparse-tile handles whose
+	// Wait does nothing. The four one-byte fields share one word.
+	noop   bool
+	waited bool
+	name   string
+	proc   int
+	words  int64
 
 	// Simulated-time fields: dur is the in-flight transfer time,
 	// arrival the simulated instant the transfer completes on the
@@ -113,11 +126,6 @@ type Handle struct {
 	seq          int64
 	staging      []float64
 	stagingWords int64
-
-	// noop marks degraded (overlap-off) and sparse-tile handles whose
-	// Wait does nothing.
-	noop   bool
-	waited bool
 }
 
 // degraded is the shared handle returned when Config.Overlap is off or
@@ -135,8 +143,7 @@ func (p *Proc) NbGetT(a *TiledArray, buf []float64, coords ...int) *Handle {
 		return degraded
 	}
 	a.checkAlive("NbGetT")
-	id := a.canonicalID(coords)
-	words := a.TileWords(coords)
+	id, words := a.locate(coords)
 	if a.stored != nil && !a.stored[id] {
 		// Symmetry-forbidden block: reads are free zeros, like GetT.
 		if p.rt.cfg.Mode == Execute {
@@ -154,7 +161,7 @@ func (p *Proc) NbGetT(a *TiledArray, buf []float64, coords ...int) *Handle {
 		// caller's coordinate slice escape to the heap.
 		panic(fmt.Sprintf("ga: strict: NbGetT of never-written tile %v of %q", append([]int(nil), coords...), a.Name))
 	}
-	h := &Handle{op: nbGet, name: a.Name, proc: p.id, words: int64(words)}
+	h := p.newHandle(nbGet, a.Name, words)
 	h.remote = p.nbIssue(h, a, id, true)
 	if p.rt.cfg.Mode == Execute {
 		if len(buf) < words {
@@ -190,12 +197,11 @@ func (p *Proc) nbUpdateT(verb string, op nbOp, a *TiledArray, alpha float64, buf
 	if a.frozen.Load() {
 		panic(fmt.Sprintf("ga: %s on frozen tensor %q", verb, a.Name))
 	}
-	id := a.canonicalID(coords)
-	words := a.TileWords(coords)
+	id, words := a.locate(coords)
 	if a.stored != nil && !a.stored[id] {
 		return degraded // symmetry-forbidden block: writes are no-ops
 	}
-	h := &Handle{op: op, name: a.Name, proc: p.id, words: int64(words)}
+	h := p.newHandle(op, a.Name, words)
 	h.remote = p.nbIssue(h, a, id, false)
 	if a.written != nil {
 		a.written[id].Store(true)
@@ -218,6 +224,13 @@ func (p *Proc) nbUpdateT(verb string, op nbOp, a *TiledArray, alpha float64, buf
 		h.seq = p.nbEnqueue(nbApplyReq{a: a, buf: h.staging, id: id, words: words, acc: op == nbAcc, alpha: alpha})
 	}
 	p.rt.nbOutstanding[p.id]++
+	return h
+}
+
+// newHandle takes this process's next handle from its arena.
+func (p *Proc) newHandle(op nbOp, name string, words int) *Handle {
+	h := p.rt.arenas[p.id].handles.next()
+	h.op, h.name, h.proc, h.words = op, name, p.id, int64(words)
 	return h
 }
 

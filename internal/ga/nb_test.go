@@ -289,6 +289,20 @@ func TestNbHandleLifecyclePanics(t *testing.T) {
 		t.Errorf("double wait: err = %v, want 'waited twice'", err)
 	}
 
+	// Handles are never reused: a handle waited again after more than
+	// one arena chunk of later handles still remembers its first Wait.
+	err = rt.Parallel(func(p *Proc) {
+		first := p.NbGetT(a, nil, 0, 0)
+		first.Wait(p)
+		for i := 0; i < 2*arenaMaxChunk; i++ {
+			p.NbGetT(a, nil, 0, 0).Wait(p)
+		}
+		first.Wait(p)
+	})
+	if err == nil || !strings.Contains(err.Error(), "waited twice") {
+		t.Errorf("wait after %d later handles: err = %v, want 'waited twice'", 2*arenaMaxChunk, err)
+	}
+
 	err = rt.Parallel(func(p *Proc) {
 		h := p.NbGetT(a, nil, 0, 0)
 		defer h.Wait(p)
@@ -305,6 +319,44 @@ func TestNbHandleLifecyclePanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unwaited at region exit") {
 		t.Errorf("unwaited handle: err = %v, want region-exit panic", err)
+	}
+}
+
+// TestCostModeAllocsPerOp pins that a cost-mode transfer makes no heap
+// object per operation: handles and buffer records come from
+// per-process arenas, so a region of 1000 NbGetT and 1000 NbAccT, each
+// with its Wait and an AllocLocal/FreeLocal pair, allocates at most once
+// per 32 transfers (chunks and the region's own set-up).
+func TestCostModeAllocsPerOp(t *testing.T) {
+	run, err := cluster.SystemB().Configure(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := nbRuntime(t, Config{Procs: 2, Mode: Cost, Run: &run})
+	g := tile.NewGrid(64, 8)
+	a, err := rt.CreateTiled("a", []tile.Grid{g, g}, nil, tile.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const transfers = 2000 // 1000 NbGetT and 1000 NbAccT over both processes
+	body := func(p *Proc) {
+		for i := 0; i < transfers/4; i++ {
+			ti, tj := i%8, (i/8)%8
+			buf := p.MustAllocLocal(64)
+			p.NbGetT(a, buf.Data, ti, tj).Wait(p)
+			p.FreeLocal(buf)
+			buf = p.MustAllocLocal(64)
+			p.NbAccT(a, 1, buf.Data, ti, tj).Wait(p)
+			p.FreeLocal(buf)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := rt.Parallel(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(transfers) / 32; allocs > limit {
+		t.Errorf("%v allocations per region of %d transfers, want at most %v", allocs, transfers, limit)
 	}
 }
 

@@ -30,8 +30,11 @@ type TiledArray struct {
 	SymPairs [][2]int
 	Dist     tile.Dist
 
-	strides []int // canonical tile-id strides per dimension
-	bytes   int64
+	bytes int64
+
+	// dims describes each dimension's tiling, fixed at creation, so the
+	// per-operation paths do no tiling arithmetic.
+	dims []tileDim
 
 	// stored flags which canonical tiles actually exist; nil means all
 	// do. Tiles dropped by a sparsity filter (spatial symmetry in the
@@ -82,16 +85,25 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 			return nil, fmt.Errorf("ga: tensor %q symmetric pair %v has mismatched grids", name, p)
 		}
 	}
-	a := &TiledArray{rt: rt, Name: name, Grids: grids, SymPairs: symPairs}
+	a := &TiledArray{rt: rt, Name: name, Grids: grids, SymPairs: symPairs,
+		dims: make([]tileDim, len(grids))}
+	for d, g := range grids {
+		a.dims[d] = tileDim{tiles: g.NumTiles(), width: g.T}
+		if g.N > 0 {
+			a.dims[d].last = g.Width(g.NumTiles() - 1)
+		}
+	}
+	for _, p := range symPairs {
+		a.dims[p[0]].pair = true
+	}
 
 	// Canonical tile-id space: symmetric pairs collapse to a packed
 	// pair index, other dims contribute their tile count.
-	dims := a.canonicalDims()
-	a.strides = make([]int, len(dims))
+	extents := a.canonicalDims()
 	total := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		a.strides[i] = total
-		total *= dims[i]
+	for i := len(extents) - 1; i >= 0; i-- {
+		a.dims[i].stride = total
+		total *= extents[i]
 	}
 
 	// Total bytes: sum of stored canonical tile sizes.
@@ -100,13 +112,14 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 		a.stored = make([]bool, total)
 	}
 	a.forEachCanonical(func(coords []int) {
+		id, w := a.locate(coords)
 		if storedFn != nil {
 			if !storedFn(coords) {
 				return
 			}
-			a.stored[a.canonicalID(coords)] = true
+			a.stored[id] = true
 		}
-		words += int64(a.TileWords(coords))
+		words += int64(w)
 	})
 	a.bytes = words * 8
 
@@ -144,19 +157,36 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 	return a, nil
 }
 
+// tileDim is one dimension's tiling as the canonical tile id sees it.
+type tileDim struct {
+	tiles  int  // the dimension's tile count
+	stride int  // canonical tile-id stride
+	width  int  // width of every tile but the last
+	last   int  // width of the last tile
+	pair   bool // the dimension starts a symmetric pair
+}
+
+// widthOf returns the width of tile t, which must be in range.
+func (m *tileDim) widthOf(t int) int {
+	if t == m.tiles-1 {
+		return m.last
+	}
+	return m.width
+}
+
 // canonicalDims returns the extent of each canonical tile coordinate:
 // for the first dim of a symmetric pair, the packed pair-count; the
 // second dim of a pair contributes 1 (absorbed); others their tile count.
 func (a *TiledArray) canonicalDims() []int {
-	dims := make([]int, len(a.Grids))
-	for d, g := range a.Grids {
-		dims[d] = g.NumTiles()
+	extents := make([]int, len(a.dims))
+	for d, m := range a.dims {
+		extents[d] = m.tiles
 	}
 	for _, p := range a.SymPairs {
-		dims[p[0]] = sym.Pairs(a.Grids[p[0]].NumTiles())
-		dims[p[1]] = 1
+		extents[p[0]] = sym.Pairs(a.dims[p[0]].tiles)
+		extents[p[1]] = 1
 	}
-	return dims
+	return extents
 }
 
 // forEachCanonical visits every canonical tile coordinate tuple.
@@ -169,8 +199,8 @@ func (a *TiledArray) forEachCanonical(f func(coords []int)) {
 			f(coords)
 			return
 		}
-		if sp := a.symPairAt(d); sp >= 0 {
-			for ti := 0; ti < a.Grids[d].NumTiles(); ti++ {
+		if a.dims[d].pair {
+			for ti := 0; ti < a.dims[d].tiles; ti++ {
 				for tj := 0; tj <= ti; tj++ {
 					coords[d], coords[d+1] = ti, tj
 					rec(d + 2)
@@ -178,7 +208,7 @@ func (a *TiledArray) forEachCanonical(f func(coords []int)) {
 			}
 			return
 		}
-		for t := 0; t < a.Grids[d].NumTiles(); t++ {
+		for t := 0; t < a.dims[d].tiles; t++ {
 			coords[d] = t
 			rec(d + 1)
 		}
@@ -186,43 +216,36 @@ func (a *TiledArray) forEachCanonical(f func(coords []int)) {
 	rec(0)
 }
 
-// symPairAt returns the pair index if dimension d starts a symmetric
-// pair, else -1.
-func (a *TiledArray) symPairAt(d int) int {
-	for i, p := range a.SymPairs {
-		if p[0] == d {
-			return i
-		}
+// locate maps canonical tile coordinates to the linear tile id and the
+// tile's element count. Coordinates of symmetric pairs must already
+// satisfy t[d] >= t[d+1].
+func (a *TiledArray) locate(coords []int) (id, words int) {
+	if len(coords) != len(a.dims) {
+		panic(fmt.Sprintf("ga: tensor %q expects %d tile coords, got %d", a.Name, len(a.dims), len(coords)))
 	}
-	return -1
-}
-
-// canonicalID maps canonical tile coordinates to the linear tile id.
-// Coordinates of symmetric pairs must already satisfy t[d] >= t[d+1].
-func (a *TiledArray) canonicalID(coords []int) int {
-	if len(coords) != len(a.Grids) {
-		panic(fmt.Sprintf("ga: tensor %q expects %d tile coords, got %d", a.Name, len(a.Grids), len(coords)))
-	}
-	id := 0
+	words = 1
 	for d := 0; d < len(coords); d++ {
+		m := &a.dims[d]
 		t := coords[d]
-		if t < 0 || t >= a.Grids[d].NumTiles() {
+		if t < 0 || t >= m.tiles {
 			panic(fmt.Sprintf("ga: tensor %q tile coord %d out of range [0,%d) in dim %d",
-				a.Name, t, a.Grids[d].NumTiles(), d))
+				a.Name, t, m.tiles, d))
 		}
-		if a.symPairAt(d) >= 0 {
+		words *= m.widthOf(t)
+		if m.pair {
 			tj := coords[d+1]
 			if tj > t {
 				panic(fmt.Sprintf("ga: tensor %q non-canonical symmetric tile (%d,%d) in dims (%d,%d)",
 					a.Name, t, tj, d, d+1))
 			}
-			id += sym.PairIndex(t, tj) * a.strides[d]
-			d++ // skip absorbed dim
+			id += sym.PairIndex(t, tj) * m.stride
+			words *= m.widthOf(tj) // the absorbed dim has the same grid
+			d++
 			continue
 		}
-		id += t * a.strides[d]
+		id += t * m.stride
 	}
-	return id
+	return id, words
 }
 
 // TileWords returns the element count of the tile at the given canonical
@@ -246,7 +269,8 @@ func (a *TiledArray) TileShape(coords []int) []int {
 
 // Owner returns the process owning the tile at canonical coordinates.
 func (a *TiledArray) Owner(coords ...int) int {
-	return a.Dist.Owner(a.canonicalID(coords))
+	id, _ := a.locate(coords)
+	return a.Dist.Owner(id)
 }
 
 // Stored reports whether the tile at canonical coordinates physically
@@ -255,7 +279,8 @@ func (a *TiledArray) Stored(coords ...int) bool {
 	if a.stored == nil {
 		return true
 	}
-	return a.stored[a.canonicalID(coords)]
+	id, _ := a.locate(coords)
+	return a.stored[id]
 }
 
 // Bytes returns the tensor's total global-memory footprint.
@@ -293,6 +318,39 @@ func (a *TiledArray) checkAlive(op string) {
 // if retained.
 func (a *TiledArray) ForEachTile(f func(coords []int)) { a.forEachCanonical(f) }
 
+// ForEachOwnedTile visits the canonical tiles process p owns, in
+// ForEachTile order — exactly ForEachTile filtered by Owner — without
+// touching any other process's tiles: it walks p's blocks of the
+// distribution and decodes each tile id. The coords slice is reused
+// between calls; copy it if retained.
+func (a *TiledArray) ForEachOwnedTile(p int, f func(coords []int)) {
+	coords := make([]int, len(a.dims))
+	n := a.Dist.NumTiles
+	first, size, stride := a.Dist.Owned(p)
+	for b := first; b < n; b += stride {
+		for id := b; id < min(b+size, n); id++ {
+			a.tileCoords(id, coords)
+			f(coords)
+		}
+	}
+}
+
+// tileCoords decodes canonical tile id into coords, inverting
+// locate.
+func (a *TiledArray) tileCoords(id int, coords []int) {
+	for d := 0; d < len(coords); d++ {
+		m := &a.dims[d]
+		q := id / m.stride
+		id -= q * m.stride
+		if m.pair {
+			coords[d], coords[d+1] = sym.UnpairIndex(q)
+			d++ // the absorbed dim
+			continue
+		}
+		coords[d] = q
+	}
+}
+
 // Freeze marks the tensor read-only. It must be called from sequential
 // (between-region) code after the last Parallel region that writes the
 // tensor: the region boundary already synchronised every producer with
@@ -318,8 +376,7 @@ func (a *TiledArray) ReadTileInto(buf []float64, coords ...int) {
 		panic("ga: ReadTileInto requires Execute mode")
 	}
 	a.checkAlive("ReadTileInto")
-	id := a.canonicalID(coords)
-	words := a.TileWords(coords)
+	id, words := a.locate(coords)
 	if len(buf) < words {
 		panic(fmt.Sprintf("ga: ReadTileInto buffer %d < tile words %d", len(buf), words))
 	}
@@ -344,11 +401,10 @@ func (a *TiledArray) SnapshotTiles() []float64 {
 	a.checkAlive("SnapshotTiles")
 	out := make([]float64, 0, a.bytes/8)
 	a.forEachCanonical(func(coords []int) {
-		id := a.canonicalID(coords)
+		id, words := a.locate(coords)
 		if a.stored != nil && !a.stored[id] {
 			return
 		}
-		words := a.TileWords(coords)
 		if a.data[id] == nil {
 			out = append(out, make([]float64, words)...)
 			return
@@ -370,7 +426,7 @@ func (a *TiledArray) RestoreTiles(data []float64) {
 	}
 	off := 0
 	a.forEachCanonical(func(coords []int) {
-		id := a.canonicalID(coords)
+		id, words := a.locate(coords)
 		if a.stored != nil && !a.stored[id] {
 			return
 		}
@@ -380,7 +436,6 @@ func (a *TiledArray) RestoreTiles(data []float64) {
 		if a.rt.cfg.Mode != Execute || data == nil {
 			return
 		}
-		words := a.TileWords(coords)
 		if off+words > len(data) {
 			panic(fmt.Sprintf("ga: RestoreTiles snapshot too small for %q: %d < %d", a.Name, len(data), off+words))
 		}
@@ -397,8 +452,7 @@ func (a *TiledArray) RestoreTiles(data []float64) {
 // count.
 func (p *Proc) GetT(a *TiledArray, buf []float64, coords ...int) int {
 	a.checkAlive("GetT")
-	id := a.canonicalID(coords)
-	words := a.TileWords(coords)
+	id, words := a.locate(coords)
 	if a.stored != nil && !a.stored[id] {
 		// Symmetry-forbidden block: reads are free zeros. The buffer
 		// must still hold the whole tile — a short buffer here would
@@ -472,8 +526,7 @@ func (p *Proc) updateT(op string, a *TiledArray, alpha float64, acc bool, buf []
 	if a.frozen.Load() {
 		panic(fmt.Sprintf("ga: %s on frozen tensor %q", op, a.Name))
 	}
-	id := a.canonicalID(coords)
-	words := a.TileWords(coords)
+	id, words := a.locate(coords)
 	if a.stored != nil && !a.stored[id] {
 		return // symmetry-forbidden block: writes are no-ops
 	}

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"fourindex/internal/sym"
@@ -250,6 +251,53 @@ func TestTiledOwnerStable(t *testing.T) {
 			}
 			if o != a.Owner(ti, tj, 0, 1) {
 				t.Fatal("owner not deterministic")
+			}
+		}
+	}
+}
+
+// TestForEachOwnedTile checks that each process's owned-tile visit is
+// exactly ForEachTile filtered by Owner, in the same order, for every
+// policy, several process counts, with and without symmetric pairs, and
+// for a one-tile slab l grid like runFullyFused's A slabs.
+func TestForEachOwnedTile(t *testing.T) {
+	g := tile.NewGrid(7, 2) // 4 tiles, the last one narrower
+	slab := tile.NewGrid(3, 3)
+	shapes := []struct {
+		name     string
+		grids    []tile.Grid
+		symPairs [][2]int
+	}{
+		{"dense", []tile.Grid{g, g, g, g}, nil},
+		{"pairs", []tile.Grid{g, g, g, g}, [][2]int{{0, 1}, {2, 3}}},
+		{"slab", []tile.Grid{g, g, g, slab}, [][2]int{{0, 1}}},
+		{"inner pair", []tile.Grid{slab, g, g}, [][2]int{{1, 2}}},
+	}
+	for _, pol := range []tile.Policy{tile.RoundRobin, tile.Block, tile.BlockCyclic} {
+		for _, procs := range []int{1, 3, 4, 7} {
+			rt, err := NewRuntime(Config{Procs: procs, Mode: Cost})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range shapes {
+				a, err := rt.CreateTiled(sh.name, sh.grids, sh.symPairs, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < procs; p++ {
+					var got, want [][]int
+					a.ForEachOwnedTile(p, func(coords []int) {
+						got = append(got, append([]int(nil), coords...))
+					})
+					a.ForEachTile(func(coords []int) {
+						if a.Owner(coords...) == p {
+							want = append(want, append([]int(nil), coords...))
+						}
+					})
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%v P=%d %s: process %d visits %v, want %v", pol, procs, sh.name, p, got, want)
+					}
+				}
 			}
 		}
 	}

@@ -15,7 +15,6 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -63,9 +62,8 @@ type Counters struct {
 
 	retries atomic.Int64 // fault-injection retries absorbed by backoff
 
-	mu      sync.Mutex
-	current int64 // currently allocated elements (ledger)
-	peak    int64 // high-water mark of current
+	current atomic.Int64 // currently allocated elements (ledger)
+	peak    atomic.Int64 // high-water mark of current
 }
 
 // AddFlops records n floating-point operations.
@@ -110,40 +108,32 @@ func (c *Counters) AddRetry() { c.retries.Add(1) }
 func (c *Counters) Retries() int64 { return c.retries.Load() }
 
 // Alloc records an allocation of n elements in the tracked memory and
-// updates the high-water mark.
+// updates the high-water mark. The ledger only rises in Alloc, so the
+// largest value any Alloc leaves it at is its exact high-water mark,
+// even when several goroutines allocate at once.
 func (c *Counters) Alloc(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.current += n
-	if c.current > c.peak {
-		c.peak = c.current
+	cur := c.current.Add(n)
+	for {
+		pk := c.peak.Load()
+		if cur <= pk || c.peak.CompareAndSwap(pk, cur) {
+			return
+		}
 	}
 }
 
 // Free records a release of n elements. It panics if the ledger would go
 // negative, which always indicates a double-free bug in a schedule.
 func (c *Counters) Free(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.current -= n
-	if c.current < 0 {
-		panic(fmt.Sprintf("metrics: memory ledger negative (%d after freeing %d)", c.current, n))
+	if cur := c.current.Add(-n); cur < 0 {
+		panic(fmt.Sprintf("metrics: memory ledger negative (%d after freeing %d)", cur, n))
 	}
 }
 
 // Current returns the currently allocated elements.
-func (c *Counters) Current() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.current
-}
+func (c *Counters) Current() int64 { return c.current.Load() }
 
 // Peak returns the high-water mark of allocated elements.
-func (c *Counters) Peak() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peak
-}
+func (c *Counters) Peak() int64 { return c.peak.Load() }
 
 // Reset zeroes every counter.
 func (c *Counters) Reset() {
@@ -154,10 +144,8 @@ func (c *Counters) Reset() {
 		c.stores[i].Store(0)
 		c.msgs[i].Store(0)
 	}
-	c.mu.Lock()
-	c.current = 0
-	c.peak = 0
-	c.mu.Unlock()
+	c.current.Store(0)
+	c.peak.Store(0)
 }
 
 // Snapshot is an immutable copy of a Counters state.

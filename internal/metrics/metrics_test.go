@@ -79,21 +79,35 @@ func TestReset(t *testing.T) {
 
 func TestConcurrentCounting(t *testing.T) {
 	var c Counters
-	const workers, per = 8, 1000
+	const workers, per, maxWords = 8, 1000, 7
 	var wg sync.WaitGroup
+	// observed[w] is the largest ledger value worker w read right after
+	// one of its own allocations.
+	observed := make([]int64, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.AddFlops(1)
 				c.AddLoad(LevelGlobal, 2)
-				c.Alloc(1)
-				c.Free(1)
+				n := int64(i%maxWords + 1)
+				c.Alloc(n)
+				observed[w] = max(observed[w], c.Current())
+				c.Free(n)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+	peak := c.Peak()
+	for w, obs := range observed {
+		if peak < obs {
+			t.Errorf("Peak() = %d below worker %d's observed Current() %d", peak, w, obs)
+		}
+	}
+	if peak > workers*maxWords {
+		t.Errorf("Peak() = %d above the %d words all workers can hold at once", peak, workers*maxWords)
+	}
 	if got := c.Flops(); got != workers*per {
 		t.Errorf("Flops() = %d, want %d", got, workers*per)
 	}

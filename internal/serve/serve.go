@@ -134,10 +134,10 @@ type Server struct {
 	// timing assumptions.
 	progressHook func(jobID string, ev trace.ProgressEvent)
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // every job ever seen, by ID
-	queue    *jobQueue
-	adm      *admission
+	mu         sync.Mutex
+	jobs       map[string]*Job // every job ever seen, by ID
+	queue      *jobQueue
+	adm        *admission
 	nextSeq    int
 	running    int
 	draining   bool

@@ -42,15 +42,13 @@ func (g Grid) NumTiles() int {
 
 // Bounds returns the half-open index range [lo, hi) covered by tile t.
 func (g Grid) Bounds(t int) (lo, hi int) {
-	if t < 0 || t >= g.NumTiles() {
+	// t < NumTiles() exactly when tile t starts inside [0, N), which
+	// checks the range without NumTiles' division.
+	lo = t * g.T
+	if t < 0 || lo >= g.N {
 		panic(fmt.Sprintf("tile: tile %d out of range [0,%d)", t, g.NumTiles()))
 	}
-	lo = t * g.T
-	hi = lo + g.T
-	if hi > g.N {
-		hi = g.N
-	}
-	return lo, hi
+	return lo, min(lo+g.T, g.N)
 }
 
 // Width returns the number of indices in tile t.
@@ -130,6 +128,28 @@ func (d Dist) Owner(t int) int {
 		return t / per
 	case BlockCyclic:
 		return (t / d.BlockSize) % d.Procs
+	default:
+		panic(fmt.Sprintf("tile: unknown policy %v", d.Pol))
+	}
+}
+
+// Owned returns the tiles process p owns as a strided run of blocks:
+// p owns [b, min(b+size, NumTiles)) for b = first, first+stride, ...
+// while b < NumTiles, which lists them in increasing order without
+// visiting any other process's tiles. It is the inverse of Owner.
+func (d Dist) Owned(p int) (first, size, stride int) {
+	if p < 0 || p >= d.Procs {
+		panic(fmt.Sprintf("tile: process %d out of range [0,%d)", p, d.Procs))
+	}
+	switch d.Pol {
+	case RoundRobin:
+		return p, 1, d.Procs
+	case Block:
+		// One block: the stride Procs*per reaches past the last tile.
+		per := (d.NumTiles + d.Procs - 1) / d.Procs
+		return p * per, per, d.Procs * per
+	case BlockCyclic:
+		return p * d.BlockSize, d.BlockSize, d.Procs * d.BlockSize
 	default:
 		panic(fmt.Sprintf("tile: unknown policy %v", d.Pol))
 	}

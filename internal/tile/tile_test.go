@@ -2,6 +2,7 @@ package tile
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +125,37 @@ func TestDistDefaultsBlockSize(t *testing.T) {
 	// blockSize defaults to 1 => round robin behaviour.
 	if d.Owner(0) != 0 || d.Owner(1) != 1 || d.Owner(2) != 0 {
 		t.Error("BlockCyclic with default block size should be cyclic")
+	}
+}
+
+// TestDistOwned checks that Owned lists exactly the tiles Owner assigns
+// to each process, in increasing order, for every policy.
+func TestDistOwned(t *testing.T) {
+	for _, pol := range []Policy{RoundRobin, Block, BlockCyclic} {
+		for _, procs := range []int{1, 2, 3, 7} {
+			for _, n := range []int{0, 1, 5, 12, 23} {
+				for _, bs := range []int{1, 3} {
+					d := NewDist(n, procs, pol, bs)
+					for p := 0; p < procs; p++ {
+						var got, want []int
+						first, size, stride := d.Owned(p)
+						for b := first; b < n; b += stride {
+							for tt := b; tt < min(b+size, n); tt++ {
+								got = append(got, tt)
+							}
+						}
+						for tt := 0; tt < n; tt++ {
+							if d.Owner(tt) == p {
+								want = append(want, tt)
+							}
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%v n=%d P=%d bs=%d: Owned(%d) lists %v, Owner gives %v", pol, n, procs, bs, p, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
