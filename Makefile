@@ -48,11 +48,14 @@ vet:
 # after an intentional schedule or cost-model change. The C bits rest on
 # Dgemm's accumulation order, which the two blas tests pin against a
 # plain loop, along with an allocation-free kernel at the schedules'
-# GEMM shapes. TestCostModeAllocsPerOp pins that cost-mode ga verbs
-# allocate no heap object per operation.
+# GEMM shapes. The C bits also rest on the synthetic integrals, which
+# TestIntegralTablesMatchFormula pins to their formula at every index.
+# TestCostModeAllocsPerOp pins that cost-mode ga verbs allocate no heap
+# object per operation.
 golden:
 	$(GO) test -count=1 -run 'TestChromeTraceGolden' ./internal/trace/
 	$(GO) test -count=1 -run 'TestDgemmBitwiseAccumulationOrder|TestDgemmSerialNoAllocs' ./internal/blas/
+	$(GO) test -count=1 -run 'TestIntegralTablesMatchFormula' ./internal/chem/
 	$(GO) test -count=1 -run 'TestScheduleFingerprints' ./internal/fourindex/
 	$(GO) test -count=1 -run 'TestCostModeAllocsPerOp' ./internal/ga/
 

@@ -99,8 +99,13 @@ type PackedC = sym.PackedC
 func Transform(scheme Scheme, opt Options) (*Result, error) { return ifx.Run(scheme, opt) }
 
 // Spec describes a synthetic electronic-structure problem: orbital
-// count, spatial-symmetry order, and generator seed.
+// count, spatial-symmetry order, and generator seed. Build one with
+// NewSpec; Transform rejects a Spec literal with a *SpecError.
 type Spec = chem.Spec
+
+// SpecError reports a Spec that NewSpec did not make, or whose N or S
+// changed after NewSpec made it.
+type SpecError = chem.SpecError
 
 // NewSpec validates and builds a Spec.
 func NewSpec(orbitals, spatialSymmetry int, seed uint64) (Spec, error) {

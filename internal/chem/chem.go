@@ -18,6 +18,13 @@
 //     of an abelian group (Z2^k) and A (hence C) vanishes unless the
 //     product of the four irreps is totally symmetric, giving the 1/s
 //     size reduction of the output tensor quoted in Table 1.
+//
+// The formulas in ComputeA and ComputeB define the values. NewSpec
+// precomputes two O(N) tables from them, each orbital's irrep and the
+// decay factor exp(-0.08 d) for every index distance d, and the
+// generators read those tables instead of dividing and calling math.Exp
+// per element. A table entry is the double the formula computes, so the
+// tables change only how fast a value is produced, never its bits.
 package chem
 
 import (
@@ -65,15 +72,44 @@ func (m Molecule) UnfusedMemoryBytes() int64 {
 
 // Spec is a synthetic electronic-structure specification: extent,
 // spatial-symmetry order, and a seed making all values reproducible.
+// Only NewSpec makes a usable Spec: it builds the tables the generators
+// read. A Spec literal or the zero value has none, and neither does a
+// Spec whose N or S was changed after NewSpec; Validate reports both,
+// and the transform rejects them.
 type Spec struct {
 	N    int    // number of orbitals
 	S    int    // spatial symmetry order (power of two; 1 = none)
 	Seed uint64 // generator seed
 
-	// bOverride, when non-nil, replaces the synthetic coefficient
-	// matrix: ComputeB(a, i) returns bOverride[a*N+i]. Installed by
-	// WithB, typically with converged SCF coefficients.
-	bOverride []float64
+	// tab holds NewSpec's precomputed tables and WithB's override,
+	// shared read-only by every copy of the Spec.
+	tab *tables
+}
+
+// tables holds what NewSpec precomputes from N and S, plus the
+// coefficient matrix WithB installs.
+type tables struct {
+	s     int       // the S the irrep labels were computed for
+	irrep []int     // irrep[p] = p*S/N, len N
+	decay []float64 // decay[d] = math.Exp(-0.08*float64(d)), d in [0, N)
+
+	// b, when non-nil, replaces the synthetic coefficient matrix:
+	// ComputeB(a, i) returns b[a*N+i]. Installed by WithB, typically
+	// with converged SCF coefficients.
+	b []float64
+}
+
+// SpecError reports a Spec whose generator tables are missing or do not
+// belong to its N and S: a Spec that NewSpec did not make (a literal or
+// the zero value), or one whose N or S changed after NewSpec made it.
+type SpecError struct {
+	N, S   int
+	Reason string
+}
+
+// Error names the spec and what is wrong with it.
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("chem: spec (N=%d, S=%d) %s", e.N, e.S, e.Reason)
 }
 
 // NewSpec validates and returns a Spec. S must be a power of two >= 1
@@ -86,7 +122,12 @@ func NewSpec(n, s int, seed uint64) (Spec, error) {
 	if s < 1 || bits.OnesCount(uint(s)) != 1 {
 		return Spec{}, fmt.Errorf("chem: spatial symmetry order %d must be a power of two >= 1", s)
 	}
-	return Spec{N: n, S: s, Seed: seed}, nil
+	t := &tables{s: s, irrep: make([]int, n), decay: make([]float64, n)}
+	for p := 0; p < n; p++ {
+		t.irrep[p] = p * s / n
+		t.decay[p] = math.Exp(-0.08 * float64(p))
+	}
+	return Spec{N: n, S: s, Seed: seed, tab: t}, nil
 }
 
 // MustSpec is NewSpec for known-good arguments; it panics on error.
@@ -98,18 +139,41 @@ func MustSpec(n, s int, seed uint64) Spec {
 	return sp
 }
 
+// Validate returns a *SpecError unless NewSpec made sp and its N and S
+// are still the ones NewSpec built the tables for.
+func (sp Spec) Validate() error {
+	switch {
+	case sp.tab == nil:
+		return &SpecError{N: sp.N, S: sp.S, Reason: "was not made by NewSpec"}
+	case len(sp.tab.irrep) != sp.N || sp.tab.s != sp.S:
+		return &SpecError{N: sp.N, S: sp.S, Reason: "changed N or S after NewSpec"}
+	}
+	return nil
+}
+
+// mustTables returns sp's generator tables. A Spec without them reaching a
+// generator is a caller bug: entry points that take a Spec from outside
+// call Validate first.
+func (sp Spec) mustTables() *tables {
+	if sp.tab == nil {
+		panic("chem: Spec was not made by NewSpec")
+	}
+	return sp.tab
+}
+
 // Irrep returns the irreducible-representation label of orbital p, in
-// [0, S). Orbitals are blocked by irrep — the first ~N/S orbitals belong
-// to irrep 0, the next block to irrep 1, and so on — which is how
+// [0, S): p*S/N. Orbitals are blocked by irrep — the first ~N/S orbitals
+// belong to irrep 0, the next block to irrep 1, and so on — which is how
 // symmetry-adapted codes order their orbitals and what makes the spatial
 // block sparsity of the output tensor visible at data-tile granularity.
-func (sp Spec) Irrep(p int) int { return p * sp.S / sp.N }
+func (sp Spec) Irrep(p int) int { return sp.mustTables().irrep[p] }
 
 // AllowedA reports whether A[i,j,k,l] may be nonzero under the spatial
 // symmetry: the XOR (group product in Z2^k) of the four irreps must be
 // the totally symmetric irrep 0.
 func (sp Spec) AllowedA(i, j, k, l int) bool {
-	return sp.Irrep(i)^sp.Irrep(j)^sp.Irrep(k)^sp.Irrep(l) == 0
+	ir := sp.mustTables().irrep
+	return ir[i]^ir[j]^ir[k]^ir[l] == 0
 }
 
 // splitmix64 is a strong 64-bit mixer used to derive reproducible
@@ -133,12 +197,19 @@ func hashUnit(key uint64) float64 {
 // It is exactly symmetric under i<->j and k<->l (indices are
 // canonicalised before hashing), decays with charge-distribution
 // separation like Schwarz-bounded two-electron integrals, and vanishes
-// when spatial symmetry forbids the element.
+// when spatial symmetry forbids the element. With i >= j and k >= l
+// after canonicalisation, the definition is
+//
+//	hashUnit(splitmix64(Seed ^ i<<48 ^ j<<32 ^ k<<16 ^ l)) *
+//	    (math.Exp(-0.08*(i-j)) * math.Exp(-0.08*(k-l)))
+//
+// where both exponentials are read from NewSpec's decay table.
 func (sp Spec) ComputeA(i, j, k, l int) float64 {
 	if i < 0 || j < 0 || k < 0 || l < 0 || i >= sp.N || j >= sp.N || k >= sp.N || l >= sp.N {
 		panic(fmt.Sprintf("chem: ComputeA index (%d,%d,%d,%d) out of range [0,%d)", i, j, k, l, sp.N))
 	}
-	if !sp.AllowedA(i, j, k, l) {
+	t := sp.mustTables()
+	if t.irrep[i]^t.irrep[j]^t.irrep[k]^t.irrep[l] != 0 {
 		return 0
 	}
 	if j > i {
@@ -149,7 +220,7 @@ func (sp Spec) ComputeA(i, j, k, l int) float64 {
 	}
 	key := sp.Seed
 	key = splitmix64(key ^ uint64(i)<<48 ^ uint64(j)<<32 ^ uint64(k)<<16 ^ uint64(l))
-	decay := math.Exp(-0.08*float64(i-j)) * math.Exp(-0.08*float64(k-l))
+	decay := t.decay[i-j] * t.decay[k-l]
 	return hashUnit(key) * decay
 }
 
@@ -162,10 +233,11 @@ func (sp Spec) ComputeB(a, i int) float64 {
 	if a < 0 || i < 0 || a >= sp.N || i >= sp.N {
 		panic(fmt.Sprintf("chem: ComputeB index (%d,%d) out of range [0,%d)", a, i, sp.N))
 	}
-	if sp.bOverride != nil {
-		return sp.bOverride[a*sp.N+i]
+	t := sp.mustTables()
+	if t.b != nil {
+		return t.b[a*sp.N+i]
 	}
-	if sp.Irrep(a) != sp.Irrep(i) {
+	if t.irrep[a] != t.irrep[i] {
 		return 0
 	}
 	key := splitmix64(sp.Seed ^ 0xb10c5eed ^ uint64(a)<<32 ^ uint64(i))
@@ -181,15 +253,19 @@ func (sp Spec) ComputeB(a, i int) float64 {
 // of an SCF calculation. The override is incompatible with spatial
 // symmetry (the synthetic irrep adaptation no longer applies).
 func (sp Spec) WithB(b []float64) (Spec, error) {
+	if err := sp.Validate(); err != nil {
+		return Spec{}, err
+	}
 	if sp.S != 1 {
 		return Spec{}, fmt.Errorf("chem: WithB requires spatial symmetry order 1, have %d", sp.S)
 	}
 	if len(b) != sp.N*sp.N {
 		return Spec{}, fmt.Errorf("chem: WithB matrix has %d elements, want %d", len(b), sp.N*sp.N)
 	}
-	cp := make([]float64, len(b))
-	copy(cp, b)
-	sp.bOverride = cp
+	t := *sp.tab
+	t.b = make([]float64, len(b))
+	copy(t.b, b)
+	sp.tab = &t
 	return sp, nil
 }
 

@@ -181,8 +181,8 @@ type Options struct {
 
 // withDefaults validates and fills defaults.
 func (o Options) withDefaults() (Options, error) {
-	if o.Spec.N <= 0 {
-		return o, fmt.Errorf("fourindex: spec has non-positive extent %d", o.Spec.N)
+	if err := o.Spec.Validate(); err != nil {
+		return o, fmt.Errorf("fourindex: %w", err)
 	}
 	if o.Procs <= 0 {
 		o.Procs = 1
@@ -286,8 +286,9 @@ func runScheme(scheme Scheme, opt Options) (*Result, error) {
 }
 
 // integralFlops is the arithmetic charged per atomic-orbital integral
-// evaluated by ComputeA (real integral codes spend O(100) flops per
-// primitive integral).
+// evaluated by ComputeA. It models a real integral code, which spends
+// O(100) flops per primitive integral, not the synthetic generator: the
+// charge does not depend on how long the host takes to produce a value.
 const integralFlops = 100
 
 // coeffFlops is the arithmetic charged per transformation-matrix element.

@@ -24,6 +24,9 @@ type runCtx struct {
 	// for the NWChem baseline whose Listing 4 structure issues one
 	// DGEMM per row).
 	eff float64
+	// b is the N x N coefficient matrix B[a*n+i], built once per
+	// Execute run; nil in Cost mode, which never reads B.
+	b []float64
 }
 
 func newRunCtx(opt Options) (*runCtx, error) {
@@ -44,7 +47,7 @@ func newRunCtx(opt Options) (*runCtx, error) {
 		return nil, err
 	}
 	g := tile.NewGrid(opt.Spec.N, opt.TileN)
-	return &runCtx{
+	c := &runCtx{
 		opt:  opt,
 		n:    opt.Spec.N,
 		g:    g,
@@ -53,7 +56,11 @@ func newRunCtx(opt Options) (*runCtx, error) {
 		rt:   rt,
 		exec: opt.Mode == ga.Execute,
 		eff:  1,
-	}, nil
+	}
+	if c.exec {
+		c.b = opt.Spec.BMatrix()
+	}
+	return c, nil
 }
 
 // grids4 returns four copies of the orbital grid.
@@ -89,13 +96,8 @@ func (c *runCtx) fillBRow(p *ga.Proc, buf []float64, ta int) (wa int) {
 	a0, a1 := c.g.Bounds(ta)
 	wa = a1 - a0
 	p.Compute(int64(coeffFlops) * int64(wa) * int64(c.n))
-	if !c.exec {
-		return wa
-	}
-	for a := a0; a < a1; a++ {
-		for i := 0; i < c.n; i++ {
-			buf[(a-a0)*c.n+i] = c.opt.Spec.ComputeB(a, i)
-		}
+	if c.exec {
+		copy(buf[:wa*c.n], c.b[a0*c.n:a1*c.n])
 	}
 	return wa
 }

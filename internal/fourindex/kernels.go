@@ -182,9 +182,7 @@ func (c *runCtx) bPanel(p *ga.Proc, lOff, nl int) ga.Buffer {
 	p.Compute(int64(coeffFlops) * int64(c.n) * int64(nl))
 	if c.exec {
 		for d := 0; d < c.n; d++ {
-			for l := 0; l < nl; l++ {
-				buf.Data[d*nl+l] = c.opt.Spec.ComputeB(d, lOff+l)
-			}
+			copy(buf.Data[d*nl:(d+1)*nl], c.b[d*c.n+lOff:])
 		}
 	}
 	return buf

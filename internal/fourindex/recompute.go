@@ -69,12 +69,7 @@ func (c *runCtx) recomputeUnit(p *ga.Proc, cT *ga.TiledArray, ta, tb int) {
 	p.Compute(2 * int64(wa) * n64 * n64 * n64 * n64)             // contract over i
 	p.Compute(int64(coeffFlops) * (int64(wa) + int64(wb)) * n64) // B rows
 	if c.exec {
-		ba := make([]float64, wa*n)
-		for a := 0; a < wa; a++ {
-			for i := 0; i < n; i++ {
-				ba[a*n+i] = sp.ComputeB(a0+a, i)
-			}
-		}
+		ba := c.b[a0*n : (a0+wa)*n]
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
 				for l := 0; l < n; l++ {
@@ -96,12 +91,7 @@ func (c *runCtx) recomputeUnit(p *ga.Proc, cT *ga.TiledArray, ta, tb int) {
 	o2loc := p.MustAllocLocal(int64(wab) * n64 * n64)
 	p.Compute(2 * int64(wab) * n64 * n64 * n64)
 	if c.exec {
-		bb := make([]float64, wb*n)
-		for b := 0; b < wb; b++ {
-			for j := 0; j < n; j++ {
-				bb[b*n+j] = sp.ComputeB(b0+b, j)
-			}
-		}
+		bb := c.b[b0*n : (b0+wb)*n]
 		for a := 0; a < wa; a++ {
 			for b := 0; b < wb; b++ {
 				dst := o2loc.Data[(a*wb+b)*n*n : (a*wb+b+1)*n*n]

@@ -3,6 +3,7 @@ package fourindex
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"fourindex/internal/chem"
@@ -143,6 +144,47 @@ func TestCostModeMatchesExecuteAccounting(t *testing.T) {
 		}
 		if co.C != nil {
 			t.Errorf("%v: cost mode must not return C", scheme)
+		}
+	}
+}
+
+// TestCostModeBuildsNoB pins that only an Execute run builds the N x N
+// coefficient matrix: pricing a molecule-scale job in Cost mode must not
+// pay N^2 words for a B it never reads. An Execute run's B is the spec's
+// BMatrix, WithB's override included.
+func TestCostModeBuildsNoB(t *testing.T) {
+	opt, err := Options{Spec: chem.MustSpec(368, 1, 7), Procs: 4, Mode: ga.Cost}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := newRunCtx(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.b != nil {
+		t.Errorf("a Cost-mode run context holds a %d-word B", len(c.b))
+	}
+
+	sp := chem.MustSpec(8, 1, 7)
+	ov := make([]float64, 64)
+	for i := range ov {
+		ov[i] = float64(i)
+	}
+	spOv, err := sp.WithB(ov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []chem.Spec{sp, spOv} {
+		opt, err := Options{Spec: sp, Procs: 2, Mode: ga.Execute}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := newRunCtx(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(c.b, sp.BMatrix()) {
+			t.Errorf("an Execute run context's B differs from BMatrix")
 		}
 	}
 }

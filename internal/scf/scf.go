@@ -80,6 +80,9 @@ type Result struct {
 // orbitals on the spec's synthetic integrals. The spec must carry no
 // spatial symmetry (S == 1): symmetry-adapted SCF is out of scope.
 func RHF(sp chem.Spec, nOcc int, opt Options) (Result, error) {
+	if err := sp.Validate(); err != nil {
+		return Result{}, fmt.Errorf("scf: %w", err)
+	}
 	n := sp.N
 	if sp.S != 1 {
 		return Result{}, fmt.Errorf("scf: spatial symmetry order %d not supported (use s = 1)", sp.S)

@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -137,6 +138,10 @@ func TestRHFValidation(t *testing.T) {
 	sym, _ := chem.NewSpec(8, 2, 1)
 	if _, err := RHF(sym, 2, Options{}); err == nil {
 		t.Error("spatial symmetry should be rejected")
+	}
+	var se *chem.SpecError
+	if _, err := RHF(chem.Spec{N: 8, S: 1, Seed: 1}, 2, Options{}); !errors.As(err, &se) {
+		t.Errorf("a Spec literal gave %v, want a *chem.SpecError", err)
 	}
 }
 
